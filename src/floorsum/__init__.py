@@ -7,7 +7,7 @@ and the exact rational sequence behind the conjectured extremal values.
 
 __version__ = "0.1.0"
 
-from .cache import CacheWarning, ResultCache, cached_extremes
+from .cache import CacheWarning, ResultCache, cached_extremes, sequence_table
 from .conjecture import (
     Bound,
     BoundSpec,
@@ -28,14 +28,12 @@ from .conjecture import (
 )
 from .core import (
     Instance,
-    SubsetTerm,
     eval_closed,
     eval_closed_all_k,
     eval_direct,
     eval_onevar_closed,
     inner_term,
     reduce_instance,
-    subset_terms,
 )
 from .exceptions import (
     DivisibilityError,
@@ -48,9 +46,7 @@ from .search import (
     ExtremeRecord,
     SearchSpace,
     enumerate_multisets,
-    extreme_values_mirror_pruned,
     extremes,
-    sequence_table,
 )
 from .symmetry import (
     CASE_VALUES,
@@ -88,7 +84,6 @@ __all__ = [
     "ResultCache",
     "SearchSpace",
     "SiteCheck",
-    "SubsetTerm",
     "TableViolationError",
     "box",
     "cached_extremes",
@@ -100,7 +95,6 @@ __all__ = [
     "eval_closed_all_k",
     "eval_direct",
     "eval_onevar_closed",
-    "extreme_values_mirror_pruned",
     "extremes",
     "f_sequence",
     "f_value",
@@ -113,7 +107,6 @@ __all__ = [
     "recurrence_residual",
     "reduce_instance",
     "sequence_table",
-    "subset_terms",
     "verify_bounds",
     "verify_conjecture",
 ]

@@ -1,4 +1,4 @@
-"""Append-only result cache for long searches.
+"""Append-only result cache for long searches, and the tables built on it.
 
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
 not parse, or parse into something that does not round-trip into an
@@ -12,6 +12,7 @@ import json
 import warnings
 from pathlib import Path
 
+from .exceptions import DomainError
 from .search import ExtremeRecord, SearchSpace, extremes
 
 
@@ -78,3 +79,16 @@ def cached_extremes(space: SearchSpace, workers: int = 1,
     if cache is not None:
         cache.put(space, record)
     return record
+
+
+def sequence_table(n: int, m_max: int, workers: int = 1,
+                   cache: ResultCache | None = None) -> tuple[list[int], list[int]]:
+    """(max S_m)_{m=1..m_max} and (min S_m)_{m=1..m_max}, each m via ``cached_extremes``."""
+    if m_max < 1:
+        raise DomainError(f"m_max must be >= 1, got {m_max}")
+    maxima, minima = [], []
+    for m in range(1, m_max + 1):
+        record = cached_extremes(SearchSpace(n, m), workers=workers, cache=cache)
+        maxima.append(record.max_value)
+        minima.append(record.min_value)
+    return maxima, minima

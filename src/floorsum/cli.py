@@ -1,9 +1,12 @@
 """Command-line workbench: evaluate, search, verify, export.
 
-Every command supports three output formats (human, csv, json).  JSON
-output is a single object with "config" and "result" keys; CSV output
-is a header row followed by data rows.  Both are deterministic for a
-given configuration: keys are sorted and column order is fixed.
+Every command supports three output formats (human, csv, json).  Each
+``_run_*`` handler returns one ``Output`` holding its result in all
+three shapes, and ``_render`` is the single renderer that writes the
+chosen one.  JSON output is a single object with "config" and "result"
+keys; CSV output is a header row followed by data rows.  Both are
+deterministic for a given configuration: keys are sorted and column
+order is fixed.
 
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 2 on invalid input or instances too large for
@@ -16,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +26,8 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .cache import ResultCache, cached_extremes
-from .conjecture import f_sequence, verify_bounds, verify_conjecture
+from .cache import ResultCache, cached_extremes, sequence_table
+from .conjecture import f_sequence, predicted_extremes, verify_bounds, verify_conjecture
 from .core import Instance, eval_closed
 from .exceptions import (
     DivisibilityError,
@@ -75,32 +77,42 @@ class RunConfig:
             out["a"] = list(self.a)
         return out
 
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    @property
+    def cache(self) -> ResultCache | None:
+        return ResultCache(self.cache_path) if self.cache_path else None
 
 
-def _json_text(config: RunConfig, result: dict) -> str:
-    return json.dumps({"config": config.to_dict(), "result": result},
-                      sort_keys=True, indent=2) + "\n"
+@dataclass(frozen=True)
+class Output:
+    """A command's JSON payload, CSV table, human lines and exit status."""
+
+    result: dict
+    header: list[str]
+    rows: list[list]
+    lines: list[str]
+    code: int = EXIT_OK
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _render(config: RunConfig, out: Output) -> str:
+    """The single place output text is produced for ``config.fmt``."""
+    if config.fmt == "json":
+        return json.dumps({"config": config.to_dict(), "result": out.result},
+                          sort_keys=True, indent=2) + "\n"
+    if config.fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+        return buffer.getvalue()
+    return "\n".join(out.lines) + "\n"
 
 
 def _multiset_text(a: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in a)
 
 
-def _cache(config: RunConfig) -> ResultCache | None:
-    return ResultCache(config.cache_path) if config.cache_path else None
+def _site_lines(sites) -> list[str]:
+    return [f"  A={_multiset_text(a)} K={k}" for a, k in sites]
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -116,103 +128,58 @@ def run(config: RunConfig) -> tuple[int, str]:
     }.get(config.command)
     if handler is None:
         raise DomainError(f"unknown command {config.command!r}")
-    return handler(config)
+    out = handler(config)
+    return out.code, _render(config, out)
 
 
-def _run_eval(config: RunConfig) -> tuple[int, str]:
+def _run_eval(config: RunConfig) -> Output:
     value = eval_closed(Instance(config.m, config.a, config.k))
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, {"value": value})
-    if config.fmt == "csv":
-        row = [config.m, _multiset_text(config.a), config.k, value]
-        return EXIT_OK, _csv_text(["m", "a", "k", "value"], [row])
-    return EXIT_OK, f"{value}\n"
+    return Output({"value": value}, ["m", "a", "k", "value"],
+                  [[config.m, _multiset_text(config.a), config.k, value]], [str(value)])
 
 
-def _run_table(config: RunConfig) -> tuple[int, str]:
-    cache = _cache(config)
-    maxima, minima = [], []
-    for m in range(1, config.m_max + 1):
-        record = cached_extremes(SearchSpace(config.n, m), workers=config.workers, cache=cache)
-        maxima.append(record.max_value)
-        minima.append(record.min_value)
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, {"max": maxima, "min": minima})
-    if config.fmt == "csv":
-        header = ["sequence"] + [str(m) for m in range(1, config.m_max + 1)]
-        return EXIT_OK, _csv_text(header, [["max"] + maxima, ["min"] + minima])
+def _run_table(config: RunConfig) -> Output:
+    maxima, minima = sequence_table(config.n, config.m_max, config.workers, config.cache)
+    ms = range(1, config.m_max + 1)
     lines = [f"extremes of S_m over bounded instances, n={config.n}", "m max min"]
-    lines += [f"{m} {maxima[m - 1]} {minima[m - 1]}" for m in range(1, config.m_max + 1)]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    lines += [f"{m} {hi} {lo}" for m, hi, lo in zip(ms, maxima, minima)]
+    return Output({"max": maxima, "min": minima}, ["sequence"] + [str(m) for m in ms],
+                  [["max"] + maxima, ["min"] + minima], lines)
 
 
-def _record_result(record) -> dict:
-    return record.to_dict()
-
-
-def _site_lines(sites, count, cap) -> list[str]:
-    lines = [f"  A={_multiset_text(a)} K={k}" for a, k in sites]
-    if len(sites) < count:
-        lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {cap}")
-    return lines
-
-
-def _run_search(config: RunConfig) -> tuple[int, str]:
+def _run_search(config: RunConfig) -> Output:
     space = SearchSpace(config.n, config.m, (config.k_lo, config.k_hi), config.cap)
-    record = cached_extremes(space, workers=config.workers, cache=_cache(config))
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, _record_result(record))
-    if config.fmt == "csv":
-        rows = [["max", record.max_value, record.max_count, _multiset_text(a), k]
-                for a, k in record.max_sites]
-        rows += [["min", record.min_value, record.min_count, _multiset_text(a), k]
-                 for a, k in record.min_sites]
-        return EXIT_OK, _csv_text(["kind", "value", "count", "a", "k"], rows)
+    record = cached_extremes(space, workers=config.workers, cache=config.cache)
     k_lo, k_hi = record.k_range
+    rows = []
     lines = [f"search n={record.n} m={record.m} K in [{k_lo},{k_hi}] cap={record.cap}"]
-    lines.append(f"max {record.max_value} attained at {record.max_count} site(s):")
-    lines += _site_lines(record.max_sites, record.max_count, record.cap)
-    lines.append(f"min {record.min_value} attained at {record.min_count} site(s):")
-    lines += _site_lines(record.min_sites, record.min_count, record.cap)
-    return EXIT_OK, "\n".join(lines) + "\n"
+    for kind, value, sites, count in (
+            ("max", record.max_value, record.max_sites, record.max_count),
+            ("min", record.min_value, record.min_sites, record.min_count)):
+        rows += [[kind, value, count, _multiset_text(a), k] for a, k in sites]
+        lines.append(f"{kind} {value} attained at {count} site(s):")
+        lines += _site_lines(sites)
+        if len(sites) < count:
+            lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {record.cap}")
+    return Output(record.to_dict(), ["kind", "value", "count", "a", "k"], rows, lines)
 
 
-def _bound_dict(bound, verdict: str) -> dict:
-    return {
-        "value": _jsonable(bound.value),
-        "status": bound.status,
-        "formula": bound.formula,
-        "note": bound.note,
-        "verdict": verdict,
-    }
-
-
-def _run_verify_bounds(config: RunConfig) -> tuple[int, str]:
+def _run_verify_bounds(config: RunConfig) -> Output:
     record = cached_extremes(SearchSpace(config.n, config.m),
-                             workers=config.workers, cache=_cache(config))
+                             workers=config.workers, cache=config.cache)
     report = verify_bounds(config.n, config.m, record=record)
-    result = {
-        "max_value": record.max_value,
-        "min_value": record.min_value,
-        "lower": _bound_dict(report.lower, report.lower_verdict),
-        "upper": _bound_dict(report.upper, report.upper_verdict),
-        "proven_violation": report.proven_violation,
-    }
-    code = EXIT_BUG if report.proven_violation else EXIT_OK
-    if config.fmt == "json":
-        return code, _json_text(config, result)
-    if config.fmt == "csv":
-        rows = [
-            ["lower", report.lower.formula, report.lower.status,
-             _jsonable(report.lower.value), record.min_value, report.lower_verdict],
-            ["upper", report.upper.formula, report.upper.status,
-             _jsonable(report.upper.value), record.max_value, report.upper_verdict],
-        ]
-        return code, _csv_text(["side", "formula", "status", "bound", "extreme", "verdict"], rows)
+    result = {"max_value": record.max_value, "min_value": record.min_value,
+              "proven_violation": report.proven_violation}
+    rows = []
     lines = [f"bounds for n={config.n}, m={config.m}",
              f"search: max {record.max_value}, min {record.min_value}"]
-    for side, bound, verdict in (("lower", report.lower, report.lower_verdict),
-                                 ("upper", report.upper, report.upper_verdict)):
+    for side, bound, verdict, extreme in (
+            ("lower", report.lower, report.lower_verdict, record.min_value),
+            ("upper", report.upper, report.upper_verdict, record.max_value)):
+        value = str(bound.value) if isinstance(bound.value, Fraction) else bound.value
+        result[side] = {"value": value, "status": bound.status, "formula": bound.formula,
+                        "note": bound.note, "verdict": verdict}
+        rows.append([side, bound.formula, bound.status, value, extreme, verdict])
         text = "n/a" if bound.value is None else str(bound.value)
         note = f" [{bound.note}]" if bound.note else ""
         lines.append(f"{side} {text} ({bound.status}, {bound.formula}){note}: {verdict}")
@@ -220,41 +187,32 @@ def _run_verify_bounds(config: RunConfig) -> tuple[int, str]:
         lines.append("PROVEN BOUND VIOLATED -- implementation bug; witnesses:")
         witnesses = (record.min_sites
                      if report.lower_verdict == "VIOLATED" else record.max_sites)
-        lines += [f"  A={_multiset_text(a)} K={k}" for a, k in witnesses[:10]]
-    return code, "\n".join(lines) + "\n"
+        lines += _site_lines(witnesses[:10])
+    return Output(result, ["side", "formula", "status", "bound", "extreme", "verdict"],
+                  rows, lines, EXIT_BUG if report.proven_violation else EXIT_OK)
 
 
-def _run_verify_conjecture(config: RunConfig) -> tuple[int, str]:
+def _run_verify_conjecture(config: RunConfig) -> Output:
+    predicted_extremes(config.n, config.m)  # unmet divisibility fails before the search
     record = cached_extremes(SearchSpace(config.n, config.m),
-                             workers=config.workers, cache=_cache(config))
+                             workers=config.workers, cache=config.cache)
     report = verify_conjecture(config.n, config.m, record=record)
+    checks = report.site_checks
     result = {
         "part": report.part,
         "block_index": report.block_index,
-        "predicted_value": _jsonable(report.predicted_value),
+        "predicted_value": str(report.predicted_value),
         "search_value": report.search_value,
         "value_matches": report.value_matches,
-        "sites": [
-            {"a": list(c.site.a), "k": c.site.k, "divisor": c.site.divisor,
-             "value": c.value, "attains": c.attains}
-            for c in report.site_checks
-        ],
+        "sites": [{"a": list(c.site.a), "k": c.site.k, "divisor": c.site.divisor,
+                   "value": c.value, "attains": c.attains} for c in checks],
         "attaining_count": report.attaining_count,
         "sites_exact": report.sites_exact,
         "passed": report.passed,
     }
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, result)
-    if config.fmt == "csv":
-        rows = [["value", "", "", _jsonable(report.predicted_value),
-                 report.search_value, report.value_matches]]
-        for c in report.site_checks:
-            rows.append(["site", _multiset_text(c.site.a), c.site.k,
-                         report.search_value, c.value, c.attains])
-        if report.sites_exact is not None:
-            rows.append(["sites-exact", "", "", len(report.site_checks),
-                         report.attaining_count, report.sites_exact])
-        return EXIT_OK, _csv_text(["check", "a", "k", "expected", "actual", "ok"], rows)
+    rows = [["value", "", "", report.predicted_value, report.search_value, report.value_matches]]
+    rows += [["site", _multiset_text(c.site.a), c.site.k, report.search_value, c.value, c.attains]
+             for c in checks]
     mode = "max" if config.n % 2 else "min"
     lines = [
         f"conjecture check at n={config.n}, m={config.m} "
@@ -263,59 +221,52 @@ def _run_verify_conjecture(config: RunConfig) -> tuple[int, str]:
         f"search {mode} = {report.search_value}: "
         f"{'MATCH' if report.value_matches else 'MISMATCH'}",
     ]
-    for c in report.site_checks:
-        status = "attains" if c.attains else "DOES NOT ATTAIN"
-        lines.append(f"site A={_multiset_text(c.site.a)} K={c.site.k}: value {c.value}, {status}")
+    lines += [f"site A={_multiset_text(c.site.a)} K={c.site.k}: value {c.value}, "
+              f"{'attains' if c.attains else 'DOES NOT ATTAIN'}" for c in checks]
     if report.sites_exact is None:
         lines.append(f"attaining sites: {report.attaining_count} "
                      "(containment required, not equality)")
     else:
+        rows.append(["sites-exact", "", "", len(checks),
+                     report.attaining_count, report.sites_exact])
         lines.append(f"attaining sites: {report.attaining_count}; "
                      f"predicted-set equality: {'yes' if report.sites_exact else 'NO'}")
     lines.append("PASS" if report.passed else "CONJECTURE CHECK FAILED (reported, not fatal)")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return Output(result, ["check", "a", "k", "expected", "actual", "ok"], rows, lines)
 
 
-def _run_f_seq(config: RunConfig) -> tuple[int, str]:
-    values = f_sequence(config.n_max)
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, {"start": 2, "f": [str(v) for v in values]})
-    if config.fmt == "csv":
-        rows = [[n, v.numerator, v.denominator] for n, v in enumerate(values, start=2)]
-        return EXIT_OK, _csv_text(["n", "numerator", "denominator"], rows)
-    lines = [f"f({n}) = {v}" for n, v in enumerate(values, start=2)]
-    return EXIT_OK, "\n".join(lines) + "\n"
+def _run_f_seq(config: RunConfig) -> Output:
+    values = list(enumerate(f_sequence(config.n_max), start=2))
+    return Output({"start": 2, "f": [str(v) for _, v in values]},
+                  ["n", "numerator", "denominator"],
+                  [[n, v.numerator, v.denominator] for n, v in values],
+                  [f"f({n}) = {v}" for n, v in values])
+
+
+_SCAN_HEADER = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"]
 
 
 def _scan_one_m(m: int) -> dict:
-    counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    sorted_case2 = 0
-    cells = 0
+    scan = dict.fromkeys(_SCAN_HEADER, 0)
+    scan["m"] = m
     for a1 in range(m):
         for a2 in range(m):
             for k in range(1, m // 2):
-                rec = delta(m, a1, a2, k)
-                counts[rec.case.case_id] += 1
-                cells += 1
-                if a1 >= a2 and rec.case.case_id == 2:
-                    sorted_case2 += 1
-    return {"m": m, "cells": cells, "case1": counts[1], "case2": counts[2],
-            "case3": counts[3], "case4": counts[4], "sorted_case2": sorted_case2}
+                case_id = delta(m, a1, a2, k).case.case_id
+                scan["cells"] += 1
+                scan[f"case{case_id}"] += 1
+                if a1 >= a2 and case_id == 2:
+                    scan["sorted_case2"] += 1
+    return scan
 
 
-def _run_delta_scan(config: RunConfig) -> tuple[int, str]:
+def _run_delta_scan(config: RunConfig) -> Output:
     ms = [config.m] if config.m is not None else list(range(1, config.m_max + 1))
     scans = [_scan_one_m(m) for m in ms]
-    if config.fmt == "json":
-        return EXIT_OK, _json_text(config, {"scans": scans})
-    header = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"]
-    if config.fmt == "csv":
-        rows = [[s[c] for c in header] for s in scans]
-        return EXIT_OK, _csv_text(header, rows)
-    lines = ["difference-table scan (every value matched its case)", " ".join(header)]
-    for s in scans:
-        lines.append(" ".join(str(s[c]) for c in header))
-    return EXIT_OK, "\n".join(lines) + "\n"
+    rows = [[s[c] for c in _SCAN_HEADER] for s in scans]
+    lines = ["difference-table scan (every value matched its case)", " ".join(_SCAN_HEADER)]
+    lines += [" ".join(str(v) for v in row) for row in rows]
+    return Output({"scans": scans}, _SCAN_HEADER, rows, lines)
 
 
 # ----------------------------------------------------------------- click layer
@@ -326,8 +277,6 @@ def _parse_multiset(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"--a expects comma-separated integers, got {text!r}")
-    if not values:
-        raise click.UsageError("--a must contain at least one element")
     if min(values) < 0:
         raise click.UsageError("--a elements must be >= 0")
     return tuple(sorted(values, reverse=True))  # canonical descending order
@@ -336,6 +285,13 @@ def _parse_multiset(text: str) -> tuple[int, ...]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise click.UsageError(message)
+
+
+def _at_least(low: int, **flags: int | None) -> None:
+    """Usage error for the first given flag below ``low``; ``m_max`` names ``--m-max``."""
+    for name, value in flags.items():
+        if value is not None and value < low:
+            raise click.UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _finish(config: RunConfig) -> None:
@@ -350,17 +306,18 @@ def _finish(config: RunConfig) -> None:
     sys.exit(code)
 
 
-def _resolve_cache(cache_path: str | None) -> str | None:
-    return cache_path or os.environ.get("FLOORSUM_CACHE") or None
-
-
 format_option = click.option("--format", "fmt", type=click.Choice(["human", "csv", "json"]),
                              default="human", show_default=True, help="Output format.")
-workers_option = click.option("--workers", type=int, default=1, show_default=True,
-                              help="Parallel worker processes for the search engine.")
-cache_option = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-                            default=None,
-                            help="Search-result cache file (FLOORSUM_CACHE also works).")
+
+
+def search_options(command):
+    """--format, --workers and --cache, shared by every search-backed command."""
+    command = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
+                           default=None, envvar="FLOORSUM_CACHE",
+                           help="Search-result cache file (FLOORSUM_CACHE also works).")(command)
+    command = click.option("--workers", type=int, default=1, show_default=True,
+                           help="Parallel worker processes for the search engine.")(command)
+    return format_option(command)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -376,7 +333,7 @@ def cli() -> None:
 @format_option
 def eval_cmd(m: int, a_text: str, k: int, fmt: str) -> None:
     """Evaluate S_m(A, K) by the closed form."""
-    _require(m >= 1, f"--m must be >= 1, got {m}")
+    _at_least(1, m=m)
     a = _parse_multiset(a_text)
     _require(0 <= k <= m - 1, f"--k must be in [0, {m - 1}], got {k}")
     _finish(RunConfig(command="eval", fmt=fmt, m=m, a=a, k=k))
@@ -385,16 +342,12 @@ def eval_cmd(m: int, a_text: str, k: int, fmt: str) -> None:
 @cli.command("table")
 @click.option("--n", type=int, required=True, help="Arity (number of multiset elements).")
 @click.option("--m-max", type=int, required=True, help="Tabulate m = 1..m_max.")
-@format_option
-@workers_option
-@cache_option
+@search_options
 def table_cmd(n: int, m_max: int, fmt: str, workers: int, cache_path: str | None) -> None:
     """Max/min sequences of S_m over bounded instances, m = 1..m_max."""
-    _require(n >= 1, f"--n must be >= 1, got {n}")
-    _require(m_max >= 1, f"--m-max must be >= 1, got {m_max}")
-    _require(workers >= 1, f"--workers must be >= 1, got {workers}")
-    _finish(RunConfig(command="table", fmt=fmt, workers=workers,
-                      cache_path=_resolve_cache(cache_path), n=n, m_max=m_max))
+    _at_least(1, n=n, m_max=m_max, workers=workers)
+    _finish(RunConfig(command="table", fmt=fmt, workers=workers, cache_path=cache_path,
+                      n=n, m_max=m_max))
 
 
 @cli.command("search")
@@ -404,58 +357,45 @@ def table_cmd(n: int, m_max: int, fmt: str, workers: int, cache_path: str | None
 @click.option("--k-max", "k_hi", type=int, default=None, help="High end of the K range.")
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True,
               help="Maximum number of attaining sites to record per side.")
-@format_option
-@workers_option
-@cache_option
+@search_options
 def search_cmd(n: int, m: int, k_lo: int | None, k_hi: int | None, cap: int,
                fmt: str, workers: int, cache_path: str | None) -> None:
     """Exhaustive extremal search over every bounded (A, K)."""
-    _require(n >= 1, f"--n must be >= 1, got {n}")
-    _require(m >= 1, f"--m must be >= 1, got {m}")
-    _require(cap >= 1, f"--cap must be >= 1, got {cap}")
-    _require(workers >= 1, f"--workers must be >= 1, got {workers}")
+    _at_least(1, n=n, m=m, cap=cap, workers=workers)
     k_lo = 0 if k_lo is None else k_lo
     k_hi = m - 1 if k_hi is None else k_hi
     _require(0 <= k_lo <= k_hi <= m - 1,
              f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {m - 1}")
-    _finish(RunConfig(command="search", fmt=fmt, workers=workers,
-                      cache_path=_resolve_cache(cache_path),
+    _finish(RunConfig(command="search", fmt=fmt, workers=workers, cache_path=cache_path,
                       n=n, m=m, k_lo=k_lo, k_hi=k_hi, cap=cap))
 
 
 @cli.command("verify-bounds")
 @click.option("--n", type=int, required=True, help="Arity.")
 @click.option("--m", type=int, required=True, help="Modulus.")
-@format_option
-@workers_option
-@cache_option
+@search_options
 def verify_bounds_cmd(n: int, m: int, fmt: str, workers: int, cache_path: str | None) -> None:
     """Search (n, m) exhaustively and compare against the known bounds.
 
     Exits nonzero only if a proven bound is violated (an implementation
     bug); a conjectured bound that is not attained is reported, not fatal.
     """
-    _require(n >= 1, f"--n must be >= 1, got {n}")
-    _require(m >= 1, f"--m must be >= 1, got {m}")
-    _require(workers >= 1, f"--workers must be >= 1, got {workers}")
+    _at_least(1, n=n, m=m, workers=workers)
     _finish(RunConfig(command="verify-bounds", fmt=fmt, workers=workers,
-                      cache_path=_resolve_cache(cache_path), n=n, m=m))
+                      cache_path=cache_path, n=n, m=m))
 
 
 @cli.command("verify-conjecture")
 @click.option("--n", type=int, required=True, help="Arity (>= 4).")
 @click.option("--m", type=int, required=True, help="Modulus (must admit the predicted sites).")
-@format_option
-@workers_option
-@cache_option
+@search_options
 def verify_conjecture_cmd(n: int, m: int, fmt: str, workers: int,
                           cache_path: str | None) -> None:
     """Check M(n) = m*f(n) and the predicted sites against full search."""
-    _require(n >= 4, f"--n must be >= 4, got {n}")
-    _require(m >= 1, f"--m must be >= 1, got {m}")
-    _require(workers >= 1, f"--workers must be >= 1, got {workers}")
+    _at_least(4, n=n)
+    _at_least(1, m=m, workers=workers)
     _finish(RunConfig(command="verify-conjecture", fmt=fmt, workers=workers,
-                      cache_path=_resolve_cache(cache_path), n=n, m=m))
+                      cache_path=cache_path, n=n, m=m))
 
 
 @cli.command("f-seq")
@@ -463,7 +403,7 @@ def verify_conjecture_cmd(n: int, m: int, fmt: str, workers: int,
 @format_option
 def f_seq_cmd(n_max: int, fmt: str) -> None:
     """Exact rational sequence f(2..n_max) from the ninth-order recurrence."""
-    _require(n_max >= 2, f"--n-max must be >= 2, got {n_max}")
+    _at_least(2, n_max=n_max)
     _finish(RunConfig(command="f-seq", fmt=fmt, n_max=n_max))
 
 
@@ -478,10 +418,7 @@ def delta_scan_cmd(m: int | None, m_max: int | None, fmt: str) -> None:
     with exit status 3.
     """
     _require((m is None) != (m_max is None), "exactly one of --m / --m-max is required")
-    if m is not None:
-        _require(m >= 1, f"--m must be >= 1, got {m}")
-    if m_max is not None:
-        _require(m_max >= 1, f"--m-max must be >= 1, got {m_max}")
+    _at_least(1, m=m, m_max=m_max)
     _finish(RunConfig(command="delta-scan", fmt=fmt, m=m, m_max=m_max))
 
 

@@ -88,29 +88,6 @@ def _signed_subset_sums(a: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One signed term of the inclusion-exclusion expansion."""
-
-    mask: int
-    subset_sum: int
-    sign: int
-
-
-def subset_terms(a: Sequence[int]) -> list[SubsetTerm]:
-    """The 2^n signed subset terms of a multiset, in mask order.
-
-    ``sign`` is +1 exactly when the subset size has the parity of n.
-    The evaluators work from the same expansion internally; this view
-    exists for inspection and testing.
-    """
-    values = tuple(a)
-    if not values or min(values) < 0:
-        raise DomainError("the multiset must be nonempty with elements >= 0")
-    return [SubsetTerm(mask, s, sg)
-            for mask, (sg, s) in enumerate(_signed_subset_sums(values))]
-
-
 def inner_term(m: int, a: Sequence[int], k: int) -> int:
     """The alternating subset-floor sum at a single k.
 

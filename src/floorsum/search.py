@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
-from .core import Instance, eval_closed, eval_closed_all_k
+from .core import eval_closed_all_k
 from .exceptions import DomainError
 
 Site = tuple[tuple[int, ...], int]
@@ -217,39 +217,3 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
         max_count=max_count,
         min_count=min_count,
     )
-
-
-def sequence_table(n: int, m_max: int, workers: int = 1) -> tuple[list[int], list[int]]:
-    """(max S_m)_{m=1..m_max} and (min S_m)_{m=1..m_max}."""
-    if m_max < 1:
-        raise DomainError(f"m_max must be >= 1, got {m_max}")
-    maxima, minima = [], []
-    for m in range(1, m_max + 1):
-        record = extremes(SearchSpace(n, m), workers=workers)
-        maxima.append(record.max_value)
-        minima.append(record.min_value)
-    return maxima, minima
-
-
-def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:
-    """Max/min from the half-K sweep, completed by the mirror identity.
-
-    Sweeps K in [0, ceil((m-1)/2) - 1] plus K = m-1.  Every skipped cell
-    is the mirror image of a swept one with the same value, so for
-    n = 2, 3 (where the identity is proven) the sweep already sees the
-    full value set.  Uses the plain per-cell evaluator; this is a
-    cross-check of the pruning argument, not a fast path.
-    """
-    if n not in (2, 3):
-        raise DomainError("mirror pruning is only sound where the identity is proven (n = 2, 3)")
-    ks = list(range(-(-(m - 1) // 2))) + [m - 1]
-    max_value = None
-    min_value = None
-    for a in enumerate_multisets(n, m):
-        for k in ks:
-            v = eval_closed(Instance(m, a, k))
-            if max_value is None or v > max_value:
-                max_value = v
-            if min_value is None or v < min_value:
-                min_value = v
-    return max_value, min_value

@@ -1,10 +1,13 @@
-"""Shared enumeration and hypothesis strategies for the test suite."""
+"""Shared enumeration, hypothesis strategies and cross-check helpers for the test suite."""
 
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from floorsum import Instance
+from floorsum import DomainError, Instance, enumerate_multisets, eval_closed
+from floorsum.core import _signed_subset_sums
 
 
 def iter_bounded(n_max, m_max, n_min=1):
@@ -27,3 +30,50 @@ def bounded_instances(draw, n_min=1, n_max=5, m_max=12):
     a = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
     k = draw(st.integers(0, m - 1))
     return Instance(m, a, k)
+
+
+@dataclass(frozen=True)
+class SubsetTerm:
+    """One signed term of the inclusion-exclusion expansion."""
+
+    mask: int
+    subset_sum: int
+    sign: int
+
+
+def subset_terms(a: Sequence[int]) -> list[SubsetTerm]:
+    """The 2^n signed subset terms of a multiset, in mask order.
+
+    ``sign`` is +1 exactly when the subset size has the parity of n.
+    The evaluators work from the same expansion internally; this view
+    exposes it for inspection.
+    """
+    values = tuple(a)
+    if not values or min(values) < 0:
+        raise DomainError("the multiset must be nonempty with elements >= 0")
+    return [SubsetTerm(mask, s, sg)
+            for mask, (sg, s) in enumerate(_signed_subset_sums(values))]
+
+
+def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:
+    """Max/min from the half-K sweep, completed by the mirror identity.
+
+    Sweeps K in [0, ceil((m-1)/2) - 1] plus K = m-1.  Every skipped cell
+    is the mirror image of a swept one with the same value, so for
+    n = 2, 3 (where the identity is proven) the sweep already sees the
+    full value set.  Uses the plain per-cell evaluator; this is a
+    cross-check of the pruning argument, not a fast path.
+    """
+    if n not in (2, 3):
+        raise DomainError("mirror pruning is only sound where the identity is proven (n = 2, 3)")
+    ks = list(range(-(-(m - 1) // 2))) + [m - 1]
+    max_value = None
+    min_value = None
+    for a in enumerate_multisets(n, m):
+        for k in ks:
+            v = eval_closed(Instance(m, a, k))
+            if max_value is None or v > max_value:
+                max_value = v
+            if min_value is None or v < min_value:
+                min_value = v
+    return max_value, min_value

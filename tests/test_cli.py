@@ -57,6 +57,8 @@ def test_eval_usage_errors_name_the_flag(runner):
     assert result.exit_code == 2 and "--m" in result.output
     result = invoke(runner, "eval", "--m", "5", "--a", "2;3", "--k", "1")
     assert result.exit_code == 2 and "--a" in result.output
+    result = invoke(runner, "eval", "--m", "5", "--a", "", "--k", "1")
+    assert result.exit_code == 2 and "--a" in result.output
 
 
 # ----------------------------------------------------------------- table
@@ -134,6 +136,19 @@ def test_verify_conjecture_cli_pass_and_divisibility(runner):
     assert result.exit_code == 0 and "PASS" in result.output
     result = invoke(runner, "verify-conjecture", "--n", "5", "--m", "5")
     assert result.exit_code == 2 and "multiple of 3" in result.output
+
+
+def test_verify_conjecture_checks_divisibility_before_searching(runner, tmp_path,
+                                                               monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking divisibility")
+
+    monkeypatch.setattr("floorsum.cache.extremes", no_search)
+    monkeypatch.setattr("floorsum.conjecture.extremes", no_search)
+    path = tmp_path / "cache.jsonl"
+    result = invoke(runner, "verify-conjecture", "--n", "6", "--m", "17", "--cache", str(path))
+    assert result.exit_code == 2 and "multiple of" in result.output
+    assert not path.exists()
 
 
 def test_verify_conjecture_json(runner):

@@ -21,9 +21,8 @@ from floorsum import (
     eval_onevar_closed,
     inner_term,
     reduce_instance,
-    subset_terms,
 )
-from helpers import bounded_instances, iter_bounded
+from helpers import bounded_instances, iter_bounded, subset_terms
 
 
 # ---------------------------------------------------------------- examples

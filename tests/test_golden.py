@@ -1,8 +1,8 @@
 """Golden-file tests: exact stdout bytes, stderr bytes and exit status of the CLI.
 
-Each case runs one command line in-process and compares against
-``tests/golden/<name>.out`` (stdout) and, when the command writes to
-stderr, ``tests/golden/<name>.err``.  The files were captured from a
+Each case runs one command line in-process and compares its stdout with
+``tests/golden/<name>.out`` and its stderr with ``tests/golden/<name>.err``;
+a missing file stands for empty output.  The files were captured from a
 trusted build; any change to them is a change to the CLI's output.
 
 To re-record after an intended output change:
@@ -113,13 +113,17 @@ def _invoke(name: str, directory: Path):
                               env={"FLOORSUM_CACHE": None})
 
 
+def _golden(name: str, suffix: str) -> bytes:
+    path = GOLDEN / f"{name}{suffix}"
+    return path.read_bytes() if path.exists() else b""
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     result = _invoke(name, tmp_path)
     assert result.exit_code == CASES[name][1]
-    assert result.stdout_bytes == (GOLDEN / f"{name}.out").read_bytes()
-    err = GOLDEN / f"{name}.err"
-    assert result.stderr_bytes == (err.read_bytes() if err.exists() else b"")
+    assert result.stdout_bytes == _golden(name, ".out")
+    assert result.stderr_bytes == _golden(name, ".err")
 
 
 def _record(directory: Path) -> None:
@@ -129,12 +133,12 @@ def _record(directory: Path) -> None:
         if result.exit_code != CASES[name][1]:
             raise SystemExit(f"{name}: exit status {result.exit_code}, "
                              f"expected {CASES[name][1]}")
-        (GOLDEN / f"{name}.out").write_bytes(result.stdout_bytes)
-        err = GOLDEN / f"{name}.err"
-        if result.stderr_bytes:
-            err.write_bytes(result.stderr_bytes)
-        elif err.exists():
-            err.unlink()
+        for suffix, data in ((".out", result.stdout_bytes), (".err", result.stderr_bytes)):
+            path = GOLDEN / f"{name}{suffix}"
+            if data:
+                path.write_bytes(data)
+            elif path.exists():
+                path.unlink()
     print(f"recorded {len(CASES)} golden cases in {GOLDEN}")
 
 

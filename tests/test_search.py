@@ -12,10 +12,10 @@ from floorsum import (
     enumerate_multisets,
     eval_closed,
     eval_direct,
-    extreme_values_mirror_pruned,
     extremes,
     sequence_table,
 )
+from helpers import extreme_values_mirror_pruned
 
 # First twelve entries of the published n=4 extreme sequences.
 N4_MAX_PREFIX = [0, 4, 3, 8, 7, 12, 11, 16, 15, 20, 19, 24]
