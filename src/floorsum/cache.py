@@ -1,9 +1,10 @@
 """Append-only result cache for long searches, and the tables built on it.
 
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
-not parse, or parse into something that does not round-trip into an
-ExtremeRecord, are discarded with a warning and the search reruns;
-a cached hit is indistinguishable in content from a fresh computation.
+not parse, parse into something that does not round-trip into an
+ExtremeRecord, or hold a record for another space than their key, are
+discarded with a warning and the search reruns; a cached hit is
+indistinguishable in content from a fresh computation.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .search import ExtremeRecord, SearchSpace, extremes
 
 
 class CacheWarning(UserWarning):
-    """A cache entry was unreadable and has been ignored."""
+    """A cache entry was unreadable or held a record for another key, and has been ignored."""
 
 
-def _key(space: SearchSpace) -> dict:
+def _key(space: SearchSpace | ExtremeRecord) -> dict:
     return {
         "n": space.n,
         "m": space.m,
@@ -50,7 +51,9 @@ class ResultCache:
                     entry = json.loads(line)
                     key = entry["key"]
                     record = ExtremeRecord.from_dict(entry["record"])
-                except (ValueError, KeyError, TypeError) as exc:
+                    if _key(record) != key:
+                        raise ValueError(f"record for {_key(record)} stored under {key}")
+                except (ValueError, LookupError, TypeError) as exc:
                     warnings.warn(
                         f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
                         CacheWarning,

@@ -2,19 +2,22 @@
 
 For fixed (n, m) the search space is every multiset A over {0..m-1}
 (the sum is symmetric in the elements, so tuples would only repeat
-work) crossed with every K in a subrange of [0, m-1].  Enumeration is
-deterministic, the per-multiset evaluation sweeps all K at once, and
-parallel runs merge partial results by a reduction that is independent
-of the worker count.
+work) crossed with every K in a subrange of [0, m-1].  The work splits
+into one task per largest element; a task walks its own multisets
+lazily, in enumeration order, and sweeps all K of each at once.  One
+fold keeps the running extremes inside a task and across task results,
+which are folded in enumeration order whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement, islice
+from typing import Iterable, Iterator
 
 from .core import eval_closed_all_k
 from .exceptions import DomainError
@@ -118,102 +121,75 @@ def enumerate_multisets(n: int, m: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(m - 1, -1, -1), n)
 
 
-class _Partial:
-    """Running extremes over one contiguous slice of the enumeration."""
+class _Side:
+    """One running extreme (``pick`` is ``max`` or ``min``): its value, the
+    first ``cap`` attaining sites in enumeration order and their true count."""
 
-    __slots__ = ("cap", "max_value", "max_sites", "max_count",
-                 "min_value", "min_sites", "min_count")
+    __slots__ = ("pick", "cap", "value", "sites", "count")
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.max_value = None
-        self.max_sites: list[Site] = []
-        self.max_count = 0
-        self.min_value = None
-        self.min_sites: list[Site] = []
-        self.min_count = 0
+    def __init__(self, pick, cap: int):
+        self.pick, self.cap = pick, cap
+        self.value, self.sites, self.count = None, [], 0
 
-    def account(self, a: tuple[int, ...], k: int, value: int) -> None:
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-            self.max_sites = [(a, k)]
-            self.max_count = 1
-        elif value == self.max_value:
-            self.max_count += 1
-            if len(self.max_sites) < self.cap:
-                self.max_sites.append((a, k))
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-            self.min_sites = [(a, k)]
-            self.min_count = 1
-        elif value == self.min_value:
-            self.min_count += 1
-            if len(self.min_sites) < self.cap:
-                self.min_sites.append((a, k))
+    def admits(self, value: int) -> bool:
+        """Whether ``value`` ties or beats the running extreme."""
+        return self.value is None or self.pick(value, self.value) == value
+
+    def fold(self, value: int, count: int, sites: Iterable[Site]) -> None:
+        """Account ``count`` sites of ``value``; ``sites`` yields them in
+        enumeration order and is read only as far as the cap needs."""
+        if not self.admits(value):
+            return
+        if value != self.value:
+            self.value, self.sites, self.count = value, [], 0
+        self.count += count
+        self.sites.extend(islice(sites, self.cap - len(self.sites)))
 
 
-def _scan_chunk(args: tuple) -> tuple:
-    m, multisets, k_lo, k_hi, cap = args
-    part = _Partial(cap)
-    for a in multisets:
-        values = eval_closed_all_k(m, a)
-        for k in range(k_lo, k_hi + 1):
-            part.account(a, k, values[k])
-    return (part.max_value, part.max_sites, part.max_count,
-            part.min_value, part.min_sites, part.min_count)
+def _task(args: tuple[int, int, int, int, int, int]) -> list[tuple]:
+    """Extremes over the multisets whose largest element is ``first``
+    (for n = 1 just (first,), as there is no arity-0 enumeration)."""
+    n, m, first, k_lo, k_hi, cap = args
+    sides = (_Side(max, cap), _Side(min, cap))
+    for rest in enumerate_multisets(n - 1, first + 1) if n > 1 else [()]:
+        a = (first,) + rest
+        values = eval_closed_all_k(m, a)[k_lo: k_hi + 1]
+        for side in sides:
+            best = side.pick(values)
+            # Build the site list only for a multiset that can enter it.
+            if side.admits(best):
+                side.fold(best, values.count(best),
+                          ((a, k) for k, v in enumerate(values, k_lo) if v == best))
+    return [(side.value, side.count, side.sites) for side in sides]
 
 
-def _merge(partials: Sequence[tuple], cap: int) -> tuple:
-    """Fold partial results in enumeration order; associative and
-    commutative in the values, order-sensitive only in site ordering."""
-    max_value = max(p[0] for p in partials)
-    min_value = min(p[3] for p in partials)
-    max_sites: list[Site] = []
-    max_count = 0
-    min_sites: list[Site] = []
-    min_count = 0
-    for p in partials:
-        if p[0] == max_value:
-            max_count += p[2]
-            max_sites.extend(p[1][: cap - len(max_sites)])
-        if p[3] == min_value:
-            min_count += p[5]
-            min_sites.extend(p[4][: cap - len(min_sites)])
-    return max_value, tuple(max_sites), max_count, min_value, tuple(min_sites), min_count
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     """Exact max/min of S_m over the space, with attaining sites.
 
-    The result is identical for any worker count: the enumeration is
-    split into contiguous chunks and partial records are merged in
-    enumeration order.
+    There is one task per largest element, m-1 down to 0, which is
+    enumeration order; task results are folded in that order, so the
+    record is identical for any worker count.  The pool is capped at the
+    number of tasks and at the CPUs this process may use.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     k_lo, k_hi = space.k_range
-    multisets = list(enumerate_multisets(space.n, space.m))
-    workers = min(workers, len(multisets))
-    if workers == 1:
-        partials = [_scan_chunk((space.m, multisets, k_lo, k_hi, space.cap))]
-    else:
-        step = -(-len(multisets) // workers)
-        chunks = [
-            (space.m, multisets[i: i + step], k_lo, k_hi, space.cap)
-            for i in range(0, len(multisets), step)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            partials = pool.map(_scan_chunk, chunks)
-    max_value, max_sites, max_count, min_value, min_sites, min_count = _merge(partials, space.cap)
+    tasks = [(space.n, space.m, first, k_lo, k_hi, space.cap)
+             for first in range(space.m - 1, -1, -1)]
+    workers = min(workers, len(tasks), _available_cpus())
+    sides = (_Side(max, space.cap), _Side(min, space.cap))
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    with pool or nullcontext():
+        for result in pool.imap(_task, tasks, chunksize=1) if pool else map(_task, tasks):
+            for side, (value, count, sites) in zip(sides, result):
+                side.fold(value, count, sites)
+    top, bottom = sides
     return ExtremeRecord(
-        n=space.n,
-        m=space.m,
-        k_range=space.k_range,
-        cap=space.cap,
-        max_value=max_value,
-        min_value=min_value,
-        max_sites=max_sites,
-        min_sites=min_sites,
-        max_count=max_count,
-        min_count=min_count,
-    )
+        n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,
+        max_value=top.value, min_value=bottom.value,
+        max_sites=tuple(top.sites), min_sites=tuple(bottom.sites),
+        max_count=top.count, min_count=bottom.count)

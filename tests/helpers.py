@@ -6,7 +6,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from floorsum import DomainError, Instance, enumerate_multisets, eval_closed
+from floorsum import DomainError, ExtremeRecord, Instance, enumerate_multisets, eval_closed
 from floorsum.core import _signed_subset_sums
 
 
@@ -77,3 +77,21 @@ def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:
             if min_value is None or v < min_value:
                 min_value = v
     return max_value, min_value
+
+
+def reference_extremes(space) -> ExtremeRecord:
+    """The record ``extremes`` must return, by walking every cell in
+    enumeration order with ``eval_closed``: first ``cap`` sites, exact counts."""
+    lo, hi = space.k_range
+    cells = [((a, k), eval_closed(Instance(space.m, a, k)))
+             for a in combinations_with_replacement(range(space.m - 1, -1, -1), space.n)
+             for k in range(lo, hi + 1)]
+    max_value = max(v for _, v in cells)
+    min_value = min(v for _, v in cells)
+    max_sites = [site for site, v in cells if v == max_value]
+    min_sites = [site for site, v in cells if v == min_value]
+    return ExtremeRecord(
+        n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,
+        max_value=max_value, min_value=min_value,
+        max_sites=tuple(max_sites[:space.cap]), min_sites=tuple(min_sites[:space.cap]),
+        max_count=len(max_sites), min_count=len(min_sites))

@@ -230,8 +230,13 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
     with path.open("a") as handle:
         handle.write("{ not json at all\n")
         handle.write('{"key": {"n": 2}, "record": {"broken": true}}\n')
-    with pytest.warns(CacheWarning):
+        # a well-formed (2, 5) record stored under the (2, 6) key
+        key = {"n": 2, "m": 6, "k_lo": 0, "k_hi": 5, "cap": space.cap}
+        other = extremes(SearchSpace(2, 5)).to_dict()
+        handle.write(json.dumps({"key": key, "record": other}) + "\n")
+    with pytest.warns(CacheWarning) as caught:
         assert cache.get(space) == record
+    assert len(caught) == 3
 
 
 def test_cache_truncated_file_recomputes(tmp_path):

@@ -13,9 +13,10 @@ from floorsum import (
     eval_closed,
     eval_direct,
     extremes,
+    search,
     sequence_table,
 )
-from helpers import extreme_values_mirror_pruned
+from helpers import extreme_values_mirror_pruned, reference_extremes
 
 # First twelve entries of the published n=4 extreme sequences.
 N4_MAX_PREFIX = [0, 4, 3, 8, 7, 12, 11, 16, 15, 20, 19, 24]
@@ -86,9 +87,43 @@ def test_terminal_k_contributes_only_zero():
 
 
 def test_determinism_across_worker_counts():
-    for n, m in ((3, 7), (2, 9)):
-        records = [extremes(SearchSpace(n, m), workers=w) for w in (1, 2, 3)]
-        assert records[0] == records[1] == records[2]
+    # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
+    # truncate site lists that span several tasks
+    spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
+              SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
+              SearchSpace(3, 8, (2, 5), cap=2)]
+    for space in spaces:
+        expected = reference_extremes(space)
+        for w in (1, 2, 3):
+            assert extremes(space, workers=w) == expected, (space, w)
+
+
+def test_pool_is_capped_at_the_available_cpus(monkeypatch):
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+    space = SearchSpace(3, 9, cap=2)
+    expected = extremes(space, workers=1)
+    assert extremes(space, workers=10_000) == expected
+    assert all(size <= search._available_cpus() for size in requested)
+    monkeypatch.setattr(search, "_available_cpus", lambda: 3)
+    assert extremes(space, workers=10_000) == expected
+    assert requested[-1] == 3
+    assert extremes(SearchSpace(3, 2), workers=10_000) == extremes(SearchSpace(3, 2))
+    assert requested[-1] == 2  # two tasks
 
 
 def test_site_cap_truncates_but_keeps_counts():
