@@ -1,10 +1,10 @@
 """Append-only result cache for long searches, and the tables built on it.
 
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
-not parse, parse into something that does not round-trip into an
-ExtremeRecord, or hold a record for another space than their key, are
-discarded with a warning and the search reruns; a cached hit is
-indistinguishable in content from a fresh computation.
+not parse, do not round-trip into an ExtremeRecord of plain ints, or
+hold a record for another space than their key, are discarded with a
+warning and the search reruns; a cached hit is indistinguishable in
+content from a fresh computation.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ def _key(space: SearchSpace | ExtremeRecord) -> dict:
     }
 
 
+def _plain_ints(record: ExtremeRecord) -> bool:
+    """Whether k_range is a pair and every number a plain int, as a fresh run stores."""
+    sites = record.max_sites + record.min_sites
+    numbers = (record.n, record.m, record.cap, record.max_value, record.min_value,
+               record.max_count, record.min_count, *record.k_range,
+               *(k for _, k in sites), *(v for a, _ in sites for v in a))
+    return len(record.k_range) == 2 and all(type(v) is int for v in numbers)
+
+
 class ResultCache:
     """Single-writer JSON-lines store of search results."""
 
@@ -51,6 +60,8 @@ class ResultCache:
                     entry = json.loads(line)
                     key = entry["key"]
                     record = ExtremeRecord.from_dict(entry["record"])
+                    if not _plain_ints(record):
+                        raise ValueError("k_range is not a pair or a field is not an int")
                     if _key(record) != key:
                         raise ValueError(f"record for {_key(record)} stored under {key}")
                 except (ValueError, LookupError, TypeError) as exc:

@@ -5,13 +5,14 @@ The central object is the Jacobsthal--Tverberg sum
     S_m(A, K) = sum_{k=0}^{K} sum_{T subseteq A} (-1)^(n-|T|) * floor((k + sum(T)) / m)
 
 for a modulus m >= 1, a multiset A of n >= 1 nonnegative integers and a
-prefix bound K >= 0.  Two evaluation routes are provided:
+prefix bound K >= 0.  Three evaluation routes are provided:
 
 * ``eval_direct`` -- the definitional double sum.  Slow (O(K * 2^n)) but
   free of any algebraic shortcut; it is the oracle every other evaluator
   is audited against.
 * ``eval_closed`` -- a closed form over subset sums, valid for
   0 <= K <= m-1, with cost O(2^n) independent of K.
+* ``eval_closed_all_k`` -- every K in [0, m-1] by inner-term rotation, O(n*m).
 
 All arithmetic is exact.  Instances whose worst-case intermediates would
 not fit in a signed 64-bit word are rejected up front instead of being
@@ -21,6 +22,7 @@ allowed to grow silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .exceptions import DomainError, InstanceTooLargeError
@@ -152,16 +154,15 @@ def eval_closed(inst: Instance) -> int:
 
 
 def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
-    """Closed-form values [S_m(A, 0), ..., S_m(A, m-1)] in one pass.
+    """Values [S_m(A, 0), ..., S_m(A, m-1)] in one pass over the inner term.
 
-    Computes the same closed form as ``eval_closed`` with the subset
-    terms grouped by residue: a signed histogram h[r] of subset-sum
-    residues and the signed total g of subset-sum quotients determine
+    Over one period k = 0..m-1 the inner term f_A(k) (``inner_term``) of
+    one element a is [k + a >= m], and f_A is m-periodic, so adding an
+    element b is one rotate-and-subtract: f_{A+b}(k) = f_A(k+b) - f_A(k).
+    S_m(A, K) = f_A(0) + ... + f_A(K) are then the prefix sums.  Each
+    step sums to 0 over a period, hence S_m(A, m-1) = 0 for n >= 2.
 
-        S_m(A, K) = g*(K+1) + sum_r h[r] * max(0, r + K - m + 1).
-
-    Requires 0 <= a_i <= m-1 (reduce first; cf. ``reduce_instance``).
-    Cost O(n*m + m) per multiset, shared across all K.
+    Requires 0 <= a_i <= m-1 (cf. ``reduce_instance``); O(n*m) for all K.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
@@ -171,29 +172,11 @@ def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
     if min(values) < 0 or max(values) > m - 1:
         raise DomainError("eval_closed_all_k requires 0 <= a_i <= m-1")
     _check_width(m, values, m - 1)
-
-    h = [0] * m
-    h[0] = 1
-    g = 0
-    for v in values:
-        # Subsets taking v move residue r to (r+v) mod m and gain a
-        # quotient carry exactly when r >= m-v; subsets leaving v out
-        # flip sign, cancelling the old quotient total.
-        g = sum(h[m - v:]) if v else 0
-        rotated = h[m - v:] + h[:m - v] if v else h
-        h = [rot - old for rot, old in zip(rotated, h)]
-
-    # Suffix sums turn the max() tail into an O(1) lookup per K.
-    csuf = [0] * (m + 1)
-    wsuf = [0] * (m + 1)
-    for r in range(m - 1, -1, -1):
-        csuf[r] = csuf[r + 1] + h[r]
-        wsuf[r] = wsuf[r + 1] + h[r] * r
-    out = []
-    for k in range(m):
-        t = m - k  # residues r >= t have an active tail term
-        out.append(g * (k + 1) + wsuf[t] + (k - m + 1) * csuf[t])
-    return out
+    first, *rest = values
+    f = [0] * (m - first) + [1] * first
+    for b in rest:
+        f = [x - y for x, y in zip(f[b:] + f[:b], f)]
+    return list(accumulate(f))
 
 
 def reduce_instance(inst: Instance) -> Instance:

@@ -234,9 +234,14 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
         key = {"n": 2, "m": 6, "k_lo": 0, "k_hi": 5, "cap": space.cap}
         other = extremes(SearchSpace(2, 5)).to_dict()
         handle.write(json.dumps({"key": key, "record": other}) + "\n")
+        # a k_range with a third entry, and a float cap in key and record
+        mine = record.to_dict()
+        handle.write(json.dumps({"key": key, "record": {**mine, "k_range": [0, 5, 9]}}) + "\n")
+        handle.write(json.dumps({"key": {**key, "cap": 1000.0},
+                                 "record": {**mine, "cap": 1000.0}}) + "\n")
     with pytest.warns(CacheWarning) as caught:
         assert cache.get(space) == record
-    assert len(caught) == 3
+    assert len(caught) == 5
 
 
 def test_cache_truncated_file_recomputes(tmp_path):

@@ -179,6 +179,8 @@ def test_symmetry_under_permutation(inst, rng):
 def test_magnitude_bound_checked_not_assumed(inst):
     # |S| <= 2^(n-2) * m on bounded instances with n >= 2
     assert abs(eval_closed(inst)) <= (1 << (inst.n - 2)) * inst.m
+    # |f_A(k)| <= 2^(n-1): each rotate-and-subtract step at most doubles it
+    assert abs(inner_term(inst.m, inst.a, inst.k)) <= 1 << (inst.n - 1)
 
 
 def test_one_element_bounds_exhaustive():
@@ -192,10 +194,12 @@ def test_one_element_bounds_exhaustive():
 
 
 def test_all_k_sweep_matches_pointwise_closed_form():
-    for m, a, k in iter_bounded(n_max=3, m_max=10):
+    for m, a, k in iter_bounded(n_max=4, m_max=10):
         if k == 0:  # one sweep per multiset is enough
-            sweep = eval_closed_all_k(m, a)
-            assert sweep == [eval_closed(Instance(m, a, kk)) for kk in range(m)]
+            oracle = [eval_direct(Instance(m, a, kk)) for kk in range(m)]
+            # the sweep treats the first element apart; try both orders
+            assert eval_closed_all_k(m, a) == oracle, (m, a)
+            assert eval_closed_all_k(m, a[::-1]) == oracle, (m, a)
 
 
 @given(bounded_instances(n_min=1, n_max=6, m_max=12))
