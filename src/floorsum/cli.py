@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -296,7 +297,9 @@ def _at_least(low: int, **flags: int | None) -> None:
 
 def _finish(config: RunConfig) -> None:
     try:
-        code, text = run(config)
+        with warnings.catch_warnings():  # e.g. a discarded cache line, as one plain line
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            code, text = run(config)
     except (DomainError, DivisibilityError, InstanceTooLargeError) as exc:
         raise click.UsageError(str(exc))
     except TableViolationError as exc:

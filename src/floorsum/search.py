@@ -3,10 +3,17 @@
 For fixed (n, m) the search space is every multiset A over {0..m-1}
 (the sum is symmetric in the elements, so tuples would only repeat
 work) crossed with every K in a subrange of [0, m-1].  The work splits
-into one task per largest element; a task walks its own multisets
-lazily, in enumeration order, and sweeps all K of each at once.  One
-fold keeps the running extremes inside a task and across task results,
-which are folded in enumeration order whatever the worker count.
+into one task per largest element; a task walks its nonincreasing
+prefixes depth first, in enumeration order.  One fold keeps the running
+extremes inside a task and across task results, which are folded in
+enumeration order whatever the worker count.
+
+Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, so with S_P(-1) = 0,
+S_{P+b}(K) = S_P(K+b) - S_P(K) - S_P(b-1) maps a period range [L, U] into
+[L-2U, U-2L].  A subtree is skipped when that map, iterated once per element
+still to add, puts it strictly inside the running extremes (a tie adds a count
+and a site).  These start at seeds, the best cells of the constant multisets:
+real cells, so every cell that ties or beats an extreme is still visited.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import multiprocessing
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
 from .core import eval_closed_all_k
@@ -127,9 +134,9 @@ class _Side:
 
     __slots__ = ("pick", "cap", "value", "sites", "count")
 
-    def __init__(self, pick, cap: int):
+    def __init__(self, pick, cap: int, value: int | None = None):
         self.pick, self.cap = pick, cap
-        self.value, self.sites, self.count = None, [], 0
+        self.value, self.sites, self.count = value, [], 0
 
     def admits(self, value: int) -> bool:
         """Whether ``value`` ties or beats the running extreme."""
@@ -146,20 +153,35 @@ class _Side:
         self.sites.extend(islice(sites, self.cap - len(self.sites)))
 
 
-def _task(args: tuple[int, int, int, int, int, int]) -> list[tuple]:
-    """Extremes over the multisets whose largest element is ``first``
-    (for n = 1 just (first,), as there is no arity-0 enumeration)."""
-    n, m, first, k_lo, k_hi, cap = args
-    sides = (_Side(max, cap), _Side(min, cap))
-    for rest in enumerate_multisets(n - 1, first + 1) if n > 1 else [()]:
-        a = (first,) + rest
-        values = eval_closed_all_k(m, a)[k_lo: k_hi + 1]
-        for side in sides:
-            best = side.pick(values)
-            # Build the site list only for a multiset that can enter it.
-            if side.admits(best):
-                side.fold(best, values.count(best),
-                          ((a, k) for k, v in enumerate(values, k_lo) if v == best))
+def _task(args: tuple[int, ...]) -> list[tuple]:
+    """Extremes over the multisets whose largest element is ``first``.  A
+    node carries its prefix's inner term f over one period; a child b is
+    f_{P+b}(k) = f_P(k+b) - f_P(k), and a leaf's values are f's prefix sums."""
+    n, m, first, k_lo, k_hi, cap, seed_max, seed_min = args
+    sides = high, low = _Side(max, cap, seed_max), _Side(min, cap, seed_min)
+
+    def walk(a: tuple[int, ...], f: list[int]) -> None:
+        left = n - len(a)
+        if not left:
+            values = list(accumulate(f))[k_lo: k_hi + 1]
+            for side in sides:
+                best = side.pick(values)
+                # Build the site list only for a multiset that can enter it.
+                if side.admits(best):
+                    side.fold(best, values.count(best),
+                              ((a, k) for k, v in enumerate(values, k_lo) if v == best))
+            return
+        if len(a) >= 2:  # the bound of the module docstring
+            s = list(accumulate(f))
+            lo, hi = min(s), max(s)
+            for _ in range(left):
+                lo, hi = lo - 2 * hi, hi - 2 * lo
+            if hi < high.value and lo > low.value:
+                return
+        for b in range(a[-1], -1, -1):
+            walk(a + (b,), [x - y for x, y in zip(f[b:] + f[:b], f)])
+
+    walk((first,), [0] * (m - first) + [1] * first)
     return [(side.value, side.count, side.sites) for side in sides]
 
 
@@ -171,15 +193,20 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     """Exact max/min of S_m over the space, with attaining sites.
 
     There is one task per largest element, m-1 down to 0, which is
-    enumeration order; task results are folded in that order, so the
-    record is identical for any worker count.  The pool is capped at the
-    number of tasks and at the CPUs this process may use.
+    enumeration order; every task starts from the same seeds, and task
+    results are folded in that order, so the record is identical for any
+    worker count.  The pool is capped at the tasks and the usable CPUs.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    n, m = space.n, space.m
     k_lo, k_hi = space.k_range
-    tasks = [(space.n, space.m, first, k_lo, k_hi, space.cap)
-             for first in range(space.m - 1, -1, -1)]
+    # The first seed, (m-1, ..., m-1), is the widest multiset of the space:
+    # its width check refuses an oversize space once, as it did per multiset.
+    seeds = [eval_closed_all_k(m, (c,) * n)[k_lo: k_hi + 1] for c in range(m - 1, -1, -1)]
+    seed_max, seed_min = max(map(max, seeds)), min(map(min, seeds))
+    tasks = [(n, m, first, k_lo, k_hi, space.cap, seed_max, seed_min)
+             for first in range(m - 1, -1, -1)]
     workers = min(workers, len(tasks), _available_cpus())
     sides = (_Side(max, space.cap), _Side(min, space.cap))
     pool = multiprocessing.Pool(workers) if workers > 1 else None

@@ -107,6 +107,19 @@ def test_search_k_range_flags(runner):
     assert result.exit_code == 2
 
 
+def test_search_refuses_an_oversize_space_once(runner):
+    # (1, ..., 1) at K = 1 is the widest cell of n = 57, m = 2; at --workers 2
+    # the refusal comes before any pool starts
+    message = ("Error: worst-case intermediate 16717361816799281152 exceeds 64-bit range "
+               "(n=57, sum(A)=57, K=1)\n")
+    for workers in ("1", "2"):
+        result = invoke(runner, "search", "--n", "57", "--m", "2", "--workers", workers)
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr.endswith(message)
+    result = invoke(runner, "search", "--n", "56", "--m", "2")
+    assert result.exit_code == 0 and result.stderr == ""
+
+
 def test_format_stability(runner):
     for fmt in ("csv", "json"):
         first = invoke(runner, "search", "--n", "3", "--m", "7", "--format", fmt)
@@ -242,6 +255,16 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
     with pytest.warns(CacheWarning) as caught:
         assert cache.get(space) == record
     assert len(caught) == 5
+
+
+def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path):
+    path = tmp_path / "F"
+    path.write_text('{"key": {"n": 3}, "record": {}}\n')
+    result = invoke(runner, "search", "--n", "3", "--m", "5", "--cache", str(path))
+    assert result.exit_code == 0
+    assert result.stderr == f"warning: discarding corrupt cache entry at {path}:1: 'n'\n"
+    assert "cache.py" not in result.stderr
+    assert result.stdout == invoke(runner, "search", "--n", "3", "--m", "5").stdout
 
 
 def test_cache_truncated_file_recomputes(tmp_path):

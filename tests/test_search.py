@@ -1,6 +1,7 @@
 """Search engine tests: enumeration, extremes, determinism, pruning."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from floorsum import (
     search,
     sequence_table,
 )
+from floorsum.search import DEFAULT_CAP
 from helpers import extreme_values_mirror_pruned, reference_extremes
 
 # First twelve entries of the published n=4 extreme sequences.
@@ -96,6 +98,41 @@ def test_determinism_across_worker_counts():
         expected = reference_extremes(space)
         for w in (1, 2, 3):
             assert extremes(space, workers=w) == expected, (space, w)
+
+
+def test_pruned_walk_matches_the_oracle_on_a_wide_envelope():
+    # every (n, m) with n <= 8 and at most 5000 cells (136 shapes), the full
+    # K range and one subrange; capped records are the reference's site
+    # lists cut to the cap, as both keep the first sites in enumeration order
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 71)
+              if math.comb(m + n - 1, n) * m <= 5000]
+    assert len(shapes) == 136
+    for n, m in shapes:
+        for k_range in [(0, m - 1)] + ([(1, m - 2)] if m >= 3 else []):
+            full = reference_extremes(SearchSpace(n, m, k_range))
+            for cap in (1, 2, DEFAULT_CAP):
+                expected = replace(full, cap=cap, max_sites=full.max_sites[:cap],
+                                   min_sites=full.min_sites[:cap])
+                assert extremes(SearchSpace(n, m, k_range, cap)) == expected, (n, m, k_range, cap)
+    for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
+        expected = reference_extremes(space)
+        for w in (2, 3):
+            assert extremes(space, workers=w) == expected, (space, w)
+
+
+def test_prune_bound_holds_for_every_completion():
+    # S_P over one period spans [lo, hi]; after r more elements every S value
+    # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo]
+    for m in range(1, 10):
+        for n in range(3, 6):
+            for a in enumerate_multisets(n, m):
+                values = [eval_direct(Instance(m, a, k)) for k in range(m)]
+                for size in range(2, n):
+                    prefix = [eval_direct(Instance(m, a[:size], k)) for k in range(m)]
+                    lo, hi = min(prefix), max(prefix)
+                    for _ in range(n - size):
+                        lo, hi = lo - 2 * hi, hi - 2 * lo
+                    assert lo <= min(values) and max(values) <= hi, (m, a, size)
 
 
 def test_pool_is_capped_at_the_available_cpus(monkeypatch):
