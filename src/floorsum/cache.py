@@ -1,10 +1,11 @@
 """Append-only result cache for long searches, and the tables built on it.
 
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
-not parse, do not round-trip into an ExtremeRecord of plain ints, or
-hold a record for another space than their key, are discarded with a
-warning and the search reruns; a cached hit is indistinguishable in
-content from a fresh computation.
+not decode or parse, do not round-trip into an ExtremeRecord of plain
+ints, or hold a record for another space than their key, are discarded
+with a warning and the search reruns; a cached hit is indistinguishable
+in content from a fresh computation.  The file is read once per
+``ResultCache`` and lookups are answered from memory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def _key(space: SearchSpace | ExtremeRecord) -> dict:
     }
 
 
+def _slot(space: SearchSpace | ExtremeRecord) -> tuple:
+    """Index key: the values of ``_key``, so a lookup matches as ``_key(...) ==`` does."""
+    return tuple(_key(space).values())
+
+
 def _plain_ints(record: ExtremeRecord) -> bool:
     """Whether k_range is a pair and every number a plain int, as a fresh run stores."""
     sites = record.max_sites + record.min_sites
@@ -41,23 +47,40 @@ def _plain_ints(record: ExtremeRecord) -> bool:
 
 
 class ResultCache:
-    """Single-writer JSON-lines store of search results."""
+    """Single-writer JSON-lines store of search results.
+
+    The file is read and checked once, on the first ``get``; every lookup
+    is answered from an in-memory index, and every ``get`` repeats the
+    warnings for the discarded lines.  Lines another process appends after
+    that first ``get`` are not seen by this instance: those spaces are
+    recomputed, never served wrong.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._index: dict[tuple, ExtremeRecord] | None = None  # loaded by the first get
+        self._discarded: list[str] = []
 
     def get(self, space: SearchSpace) -> ExtremeRecord | None:
         """Latest stored record for this space, or None on a miss."""
+        if self._index is None:
+            self._load()
+        for message in self._discarded:
+            warnings.warn(message, CacheWarning, stacklevel=2)
+        return self._index.get(_slot(space))
+
+    def _load(self) -> None:
+        self._index = {}
         if not self.path.exists():
-            return None
-        wanted = _key(space)
-        found = None
-        with self.path.open("r", encoding="utf-8") as handle:
+            return
+        # surrogateescape keeps text mode's lines; a byte that is not UTF-8 then
+        # fails the strict decode inside the try, as a fault of its own line.
+        with self.path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
                 try:
-                    entry = json.loads(line)
+                    entry = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
                     key = entry["key"]
                     record = ExtremeRecord.from_dict(entry["record"])
                     if not _plain_ints(record):
@@ -65,21 +88,19 @@ class ResultCache:
                     if _key(record) != key:
                         raise ValueError(f"record for {_key(record)} stored under {key}")
                 except (ValueError, LookupError, TypeError) as exc:
-                    warnings.warn(
-                        f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
-                        CacheWarning,
-                        stacklevel=2,
-                    )
+                    self._discarded.append(
+                        f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}")
                     continue
-                if key == wanted:
-                    found = record
-        return found
+                self._index[_slot(record)] = record
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"key": _key(space), "record": record.to_dict()}
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        # Index only what a reload would keep: a sound record under its own key.
+        if self._index is not None and _plain_ints(record) and _key(record) == entry["key"]:
+            self._index[_slot(record)] = record
 
 
 def cached_extremes(space: SearchSpace, workers: int = 1,

@@ -203,7 +203,10 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     k_lo, k_hi = space.k_range
     # The first seed, (m-1, ..., m-1), is the widest multiset of the space:
     # its width check refuses an oversize space once, as it did per multiset.
-    seeds = [eval_closed_all_k(m, (c,) * n)[k_lo: k_hi + 1] for c in range(m - 1, -1, -1)]
+    # For n = 1 the constants are the whole space, which the walk visits
+    # anyway (it prunes only at |P| >= 2), so the first alone seeds it.
+    constants = range(m - 1, -1, -1) if n > 1 else (m - 1,)
+    seeds = [eval_closed_all_k(m, (c,) * n)[k_lo: k_hi + 1] for c in constants]
     seed_max, seed_min = max(map(max, seeds)), min(map(min, seeds))
     tasks = [(n, m, first, k_lo, k_hi, space.cap, seed_max, seed_min)
              for first in range(m - 1, -1, -1)]

@@ -12,6 +12,7 @@ from floorsum import (
     SearchSpace,
     cached_extremes,
     extremes,
+    sequence_table,
 )
 from floorsum.cli import cli
 
@@ -252,9 +253,16 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
         handle.write(json.dumps({"key": key, "record": {**mine, "k_range": [0, 5, 9]}}) + "\n")
         handle.write(json.dumps({"key": {**key, "cap": 1000.0},
                                  "record": {**mine, "cap": 1000.0}}) + "\n")
-    with pytest.warns(CacheWarning) as caught:
-        assert cache.get(space) == record
-    assert len(caught) == 5
+        # a later, doctored record whose line holds a byte that is not UTF-8
+        doctored = {"key": key, "record": {**mine, "max_value": 999}, "note": "@"}
+    with path.open("ab") as handle:
+        handle.write(json.dumps(doctored).encode().replace(b"@", b"\xff") + b"\n")
+    for _ in range(2):  # every get repeats the warnings, in line order
+        with pytest.warns(CacheWarning) as caught:
+            assert cache.get(space) == record
+        starts = [f"discarding corrupt cache entry at {path}:{line}: " for line in range(2, 8)]
+        assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
+        assert len(caught) == 6
 
 
 def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path):
@@ -267,6 +275,32 @@ def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path
     assert result.stdout == invoke(runner, "search", "--n", "3", "--m", "5").stdout
 
 
+def test_cli_discards_a_cache_line_that_is_not_utf8(runner, tmp_path):
+    path = tmp_path / "F"
+    path.write_bytes(b"\xff\xfe garbage\n")
+    result = invoke(runner, "search", "--n", "3", "--m", "5", "--cache", str(path))
+    assert result.exit_code == 0
+    assert result.stdout == invoke(runner, "search", "--n", "3", "--m", "5").stdout
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"warning: discarding corrupt cache entry at {path}:1: ")
+
+
+def test_cache_file_is_parsed_once_per_instance(monkeypatch, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    expected = sequence_table(3, 8, cache=ResultCache(path))
+    assert len(path.read_text().splitlines()) == 8
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("every m must be served from the file")
+
+    loads = json.loads
+    parsed = []
+    monkeypatch.setattr("floorsum.cache.extremes", no_search)
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+    assert sequence_table(3, 8, cache=ResultCache(path)) == expected
+    assert len(parsed) == 8  # the file's lines, not m_max times them
+
+
 def test_cache_truncated_file_recomputes(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
@@ -276,7 +310,7 @@ def test_cache_truncated_file_recomputes(tmp_path):
     path.write_text(content[: len(content) // 2])  # chop mid-record
     with pytest.warns(CacheWarning):
         assert cache.get(space) is None
-    with pytest.warns(CacheWarning):  # the recompute path re-reads the file
+    with pytest.warns(CacheWarning):  # every get repeats the discarded line's warning
         assert cached_extremes(space, cache=cache) == extremes(space)
 
 

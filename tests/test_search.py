@@ -120,6 +120,19 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope():
             assert extremes(space, workers=w) == expected, (space, w)
 
 
+def test_constant_seeds_sweep_once_per_space(monkeypatch):
+    # n = 1: the constants are the whole space, which the walk visits anyway,
+    # so only the first, (m-1,), is swept; n >= 2 sweeps all m constants
+    calls = []
+    sweep = search.eval_closed_all_k
+    monkeypatch.setattr(search, "eval_closed_all_k", lambda m, a: calls.append(a) or sweep(m, a))
+    for n, m in [(1, 1), (1, 2), (1, 5), (1, 30), (2, 5), (3, 7), (4, 1)]:
+        calls.clear()
+        assert extremes(SearchSpace(n, m)) == reference_extremes(SearchSpace(n, m)), (n, m)
+        constants = [(c,) * n for c in range(m - 1, -1, -1)]
+        assert calls == (constants if n > 1 else constants[:1]), (n, m)
+
+
 def test_prune_bound_holds_for_every_completion():
     # S_P over one period spans [lo, hi]; after r more elements every S value
     # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo]
