@@ -9,9 +9,10 @@ deterministic for a given configuration: keys are sorted and column
 order is fixed.
 
 Exit status: 0 on success and on "conjectured value not attained"
-(reported, not fatal); 2 on invalid input or instances too large for
-checked 64-bit arithmetic; 3 on a proven-bound violation or case-table
-mismatch (either one signals an implementation bug).
+(reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
+unusable cache path or instances too large for checked 64-bit
+arithmetic; 3 on a proven-bound violation or case-table mismatch
+(either one signals an implementation bug).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import click
 
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
-from .conjecture import f_sequence, predicted_extremes, verify_bounds, verify_conjecture
+from .conjecture import f_sequence, verify_bounds, verify_conjecture
 from .core import Instance, eval_closed
 from .exceptions import (
     DivisibilityError,
@@ -166,9 +167,8 @@ def _run_search(config: RunConfig) -> Output:
 
 
 def _run_verify_bounds(config: RunConfig) -> Output:
-    record = cached_extremes(SearchSpace(config.n, config.m),
-                             workers=config.workers, cache=config.cache)
-    report = verify_bounds(config.n, config.m, record=record)
+    report = verify_bounds(config.n, config.m, config.workers, config.cache)
+    record = report.record
     result = {"max_value": record.max_value, "min_value": record.min_value,
               "proven_violation": report.proven_violation}
     rows = []
@@ -194,10 +194,7 @@ def _run_verify_bounds(config: RunConfig) -> Output:
 
 
 def _run_verify_conjecture(config: RunConfig) -> Output:
-    predicted_extremes(config.n, config.m)  # unmet divisibility fails before the search
-    record = cached_extremes(SearchSpace(config.n, config.m),
-                             workers=config.workers, cache=config.cache)
-    report = verify_conjecture(config.n, config.m, record=record)
+    report = verify_conjecture(config.n, config.m, config.workers, config.cache)
     checks = report.site_checks
     result = {
         "part": report.part,
@@ -305,6 +302,11 @@ def _finish(config: RunConfig) -> None:
     except TableViolationError as exc:
         click.echo(f"TABLE VIOLATION (implementation bug): {exc}", err=True)
         sys.exit(EXIT_BUG)
+    except OSError as exc:
+        if exc.filename is None:  # the cache is the only file a command touches
+            raise
+        click.echo(f"Error: cannot use cache file {config.cache_path}: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     click.echo(text, nl=False)
     sys.exit(code)
 

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .cache import ResultCache, cached_extremes
 from .core import Instance, eval_closed
 from .exceptions import DivisibilityError, DomainError
+# Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
 from .search import ExtremeRecord, SearchSpace, extremes
 
 _INITIAL = {
@@ -274,22 +276,16 @@ def _side_verdict(bound: Bound, extreme: int, side: str) -> str:
     return VERDICT_HOLDS if inside else VERDICT_VIOLATED
 
 
-def _checked_record(n: int, m: int, workers: int, record: ExtremeRecord | None) -> ExtremeRecord:
-    if record is None:
-        return extremes(SearchSpace(n, m), workers=workers)
-    if record.n != n or record.m != m or record.k_range != (0, m - 1):
-        raise DomainError("record does not cover the full (n, m) search space")
-    return record
-
-
 def verify_bounds(n: int, m: int, workers: int = 1,
-                  record: ExtremeRecord | None = None) -> BoundsReport:
+                  cache: ResultCache | None = None) -> BoundsReport:
     """Exhaustively search (n, m) and give a per-side verdict.
 
+    The search goes through ``cached_extremes``, so ``workers`` and
+    ``cache`` mean what they mean there; the record is ``report.record``.
     A VIOLATED verdict on a proven side signals an implementation bug;
     callers are expected to fail the run on ``proven_violation``.
     """
-    record = _checked_record(n, m, workers, record)
+    record = cached_extremes(SearchSpace(n, m), workers, cache)
     spec = known_bounds(n, m)
     return BoundsReport(
         n=n,
@@ -341,17 +337,18 @@ class ConjectureReport:
 
 
 def verify_conjecture(n: int, m: int, workers: int = 1,
-                      record: ExtremeRecord | None = None) -> ConjectureReport:
+                      cache: ResultCache | None = None) -> ConjectureReport:
     """Check M(n) = m*f(n) and the predicted sites against full search.
 
-    Raises DivisibilityError when m does not admit the predicted sites.
+    Raises DivisibilityError, before any search or cache access, when m
+    does not admit the predicted sites; the search is as in ``verify_bounds``.
     Site membership is decided by evaluating each predicted site
     directly, so it is immune to site-list truncation; the part-1
     set-equality check additionally compares the attaining count.
     """
     sites = predicted_extremes(n, m)
     part, block = _conjecture_block(n)
-    record = _checked_record(n, m, workers, record)
+    record = cached_extremes(SearchSpace(n, m), workers, cache)
     if n % 2:
         search_value, count = record.max_value, record.max_count
     else:

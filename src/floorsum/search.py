@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, islice
@@ -212,7 +213,11 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
              for first in range(m - 1, -1, -1)]
     workers = min(workers, len(tasks), _available_cpus())
     sides = (_Side(max, space.cap), _Side(min, space.cap))
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    # Workers ignore SIGINT: on Ctrl-C the parent alone raises, and leaving
+    # the ``with`` terminates them without a traceback from each.
+    pool = (multiprocessing.Pool(workers, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN))
+            if workers > 1 else None)
     with pool or nullcontext():
         for result in pool.imap(_task, tasks, chunksize=1) if pool else map(_task, tasks):
             for side, (value, count, sites) in zip(sides, result):

@@ -1,8 +1,34 @@
 """Mirror transform and the shift-difference operators with their case tables.
 
-The mirror identity S_m(A, K) = S_m(m - A, m - 2 - K) is proven for
-n = 2, 3; for larger n it is an empirical observation only and is
-checked, never assumed.
+The mirror identity S_m(A, K) = S_m(-A, m - 2 - K) on 0 <= K <= m-2, where
+-A is the multiset of (m - a) mod m, is proven here for every bounded A
+with n >= 2 elements.  Write s_T for the sum of T and f_A for the inner
+term, f_A(k) = sum over T within A of (-1)^(n-|T|) floor((k + s_T)/m), so
+S_m(A, K) = f_A(0) + ... + f_A(K).  Two facts hold for every n >= 1:
+f_A is m-periodic, since k -> k + m adds sum_T (-1)^(n-|T|) = 0; and
+adding an element b rotates and subtracts, f_{A+b}(k) = f_A(k+b) - f_A(k),
+so only b mod m matters.
+
+Lemma A.  S_m(A, m-1) = 0 for n >= 2.  By Hermite's identity,
+sum_{k<m} floor((k + s)/m) = s, so S_m(A, m-1) = sum_T (-1)^(n-|T|) s_T.
+An element a_i lies in T = U + a_i for each subset U of the other n-1
+elements, with total sign sum_U (-1)^(n-1-|U|) = (1 - 1)^(n-1), which is
+0 once n >= 2.  So f_A sums to 0 over each period: S_m(A, K) is
+m-periodic in K, and S_m(A, -1) = S_m(A, m-1) = 0.
+
+Lemma B.  f_{-A}(k) = -f_A(-1-k) for n >= 2.  If A holds a 0, adding it
+is a rotation by 0, so f_A = 0, and -A holds a 0 too, so f_{-A} = 0.
+Otherwise induct on n.  For one element 1 <= a <= m-1, f_a(k) = [k + a >= m]
+over a period, so f_{m-a}(k) = [k >= a] = 1 - f_a(-1-k).  If
+f_{-A}(k) = c - f_A(-1-k) for a constant c, then adding b to A adds m - b
+to -A, a rotation by -b, and
+f_{-(A+b)}(k) = f_{-A}(k-b) - f_{-A}(k) = f_A(-1-k) - f_A(-1-k+b)
+= -f_{A+b}(-1-k): the constant cancels from n = 2 on.
+
+The identity.  For 0 <= K <= m-1, Lemma B, periodicity and Lemma A give
+S_m(-A, K) = -(f_A(-1) + ... + f_A(-1-K)) = -(f_A(m-1-K) + ... + f_A(m-1))
+= S_m(A, m-2-K) - S_m(A, m-1) = S_m(A, m-2-K).  It fails for n = 1,
+where S_m({a}, K) = max(0, K + a - m + 1): S_5({2}, 1) = 0, S_5({3}, 2) = 1.
 
 The two-variable difference
 
@@ -80,8 +106,8 @@ def mirror(inst: Instance) -> Instance:
 
     Requires a bounded instance with 0 <= K <= m-2 (K = m-1 lies outside
     the identity's range).  Elements equal to 0 map to 0, keeping the
-    image bounded.  The S value is provably equal for n = 2, 3 and
-    empirically equal for larger n.
+    image bounded.  The S value is equal for every n >= 2 (proven in
+    the module docstring) and may differ for n = 1.
     """
     m = inst.m
     if not inst.is_bounded:

@@ -60,12 +60,12 @@ def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:
 
     Sweeps K in [0, ceil((m-1)/2) - 1] plus K = m-1.  Every skipped cell
     is the mirror image of a swept one with the same value, so for
-    n = 2, 3 (where the identity is proven) the sweep already sees the
+    n >= 2 (where the identity is proven) the sweep already sees the
     full value set.  Uses the plain per-cell evaluator; this is a
     cross-check of the pruning argument, not a fast path.
     """
-    if n not in (2, 3):
-        raise DomainError("mirror pruning is only sound where the identity is proven (n = 2, 3)")
+    if n < 2:
+        raise DomainError("mirror pruning is only sound where the identity is proven (n >= 2)")
     ks = list(range(-(-(m - 1) // 2))) + [m - 1]
     max_value = None
     min_value = None

@@ -1,6 +1,12 @@
 """CLI and cache tests, driven through click's CliRunner."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -350,6 +356,44 @@ def test_cli_cache_hit_is_actually_used(runner, tmp_path):
     result = invoke(runner, "search", "--n", "2", "--m", "6", "--format", "json",
                     "--cache", str(path))
     assert json.loads(result.output)["result"]["max_value"] == 777
+
+
+def test_cli_refuses_an_unusable_cache_path(runner, tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for path in (blocker / "x", blocker / "x" / "y"):  # a regular file stands in a directory's place
+        result = invoke(runner, "search", "--n", "2", "--m", "3", "--cache", str(path))
+        assert result.exit_code == 2 and result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"Error: cannot use cache file {path}: ")
+    assert blocker.read_text() == ""
+
+
+# n = 12, m = 20 searches for 7-8 s at --workers 1 or 2 on a 2-core host, so a
+# signal 2 s after the start reaches it mid-search, after the pool has started.
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ctrl_c_prints_only_aborted(workers):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "floorsum.cli", "search", "--n", "12", "--m", "20",
+         "--workers", workers],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,  # its own process group, as a terminal's foreground job
+        # a runner started in the background may ignore SIGINT; the CLI must not inherit that
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        time.sleep(2)
+        assert proc.poll() is None, "the search ended before the signal; pick a larger shape"
+        os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends: the whole group
+        out, err = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert (proc.returncode, out, err) == (1, b"", b"\nAborted!\n")
 
 
 def _poison(tmp_path, space, **overrides):

@@ -13,6 +13,7 @@ from floorsum import (
     DivisibilityError,
     DomainError,
     Instance,
+    ResultCache,
     SearchSpace,
     eval_closed,
     eval_direct,
@@ -204,13 +205,30 @@ def test_no_proven_bound_is_ever_exceeded():
             assert not report.proven_violation, (n, m, report)
 
 
-def test_verify_bounds_rejects_mismatched_records():
-    record = extremes(SearchSpace(2, 6))
-    with pytest.raises(DomainError):
-        verify_bounds(2, 7, record=record)
-    partial = extremes(SearchSpace(2, 7, (0, 3)))
-    with pytest.raises(DomainError):
-        verify_bounds(2, 7, record=partial)
+def test_verifiers_search_through_the_cache(monkeypatch, tmp_path):
+    cases = ((verify_bounds, 4, 12), (verify_conjecture, 5, 6))
+    fresh = {}
+    for verify, n, m in cases:
+        path = tmp_path / f"{verify.__name__}.jsonl"
+        fresh[verify] = verify(n, m, cache=ResultCache(path))
+        assert fresh[verify] == verify(n, m)
+        assert len(path.read_text().splitlines()) == 1
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cached verdict must be served from the file")
+
+    monkeypatch.setattr("floorsum.cache.extremes", no_search)
+    for verify, n, m in cases:
+        path = tmp_path / f"{verify.__name__}.jsonl"
+        assert verify(n, m, cache=ResultCache(path)) == fresh[verify]
+        assert len(path.read_text().splitlines()) == 1
+
+
+def test_verify_conjecture_checks_divisibility_before_the_cache(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with pytest.raises(DivisibilityError):
+        verify_conjecture(6, 17, cache=ResultCache(path))
+    assert not path.exists()
 
 
 def test_verify_conjecture_part_one():

@@ -1,14 +1,17 @@
 """Mirror identity and difference-operator tests.
 
-The mirror identity is asserted exhaustively where it is proven
-(n = 2, 3) and sampled where it is only an empirical observation
-(n = 4, 5); a counterexample there would fail with the witnessing
-instance in the message rather than being suppressed.
+The mirror identity and its Lemma A, S_m(A, m-1) = 0, are proven for
+n >= 2 (see the symmetry module docstring).  Both are asserted against
+the definitional oracle exhaustively on a small envelope, by hypothesis
+at larger n, and on seeded samples at larger m; a counterexample fails
+with the witnessing instance in the message.
 """
 
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
 
 from floorsum import (
     CASE_VALUES,
@@ -21,6 +24,7 @@ from floorsum import (
     eval_direct,
     mirror,
 )
+from helpers import bounded_instances, iter_bounded
 
 
 def legal_delta_k(m):
@@ -60,16 +64,25 @@ def test_mirror_is_an_involution():
 
 
 def test_mirror_equality_exhaustive_where_proven():
-    from helpers import iter_bounded
-
-    for m, a, k in iter_bounded(n_min=2, n_max=3, m_max=12):
+    cells = chain(iter_bounded(n_min=2, n_max=3, m_max=12), iter_bounded(n_min=4, n_max=5, m_max=9))
+    for m, a, k in cells:
+        inst = Instance(m, a, k)
         if k <= m - 2:
-            inst = Instance(m, a, k)
-            assert eval_closed(inst) == eval_closed(mirror(inst)), inst
+            assert eval_direct(inst) == eval_direct(mirror(inst)), inst
+        else:
+            assert eval_direct(inst) == 0, inst  # Lemma A
+
+
+@given(bounded_instances(n_min=2, n_max=8, m_max=12))
+@settings(max_examples=200, deadline=None)
+def test_mirror_lemmas_hold_by_hypothesis(inst):
+    assert eval_direct(Instance(inst.m, inst.a, inst.m - 1)) == 0  # Lemma A
+    if inst.k <= inst.m - 2:
+        assert eval_direct(inst) == eval_direct(mirror(inst)), inst
 
 
 def test_mirror_equality_empirical_n4_n5():
-    # not proven for n >= 4: checked on samples, counterexamples reported
+    # proven for n >= 2; sampled at larger m than the exhaustive test reaches
     rng = random.Random(314159)
     for _ in range(3000):
         m = rng.randint(2, 12)
