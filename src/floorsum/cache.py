@@ -49,8 +49,10 @@ def _plain_ints(record: ExtremeRecord) -> bool:
 class ResultCache:
     """Single-writer JSON-lines store of search results.
 
-    The file is read and checked once, on the first ``get``; every lookup
-    is answered from an in-memory index, and every ``get`` repeats the
+    The first ``get`` opens the file for append, creating it and its
+    parents as ``put`` does, so an unusable path raises ``OSError`` before
+    any search; it reads and checks the file then, once.  Every lookup is
+    answered from an in-memory index, and every ``get`` repeats the
     warnings for the discarded lines.  Lines another process appends after
     that first ``get`` are not seen by this instance: those spaces are
     recomputed, never served wrong.
@@ -71,11 +73,12 @@ class ResultCache:
 
     def _load(self) -> None:
         self._index = {}
-        if not self.path.exists():
-            return
+        # Append mode, as put uses, so an unusable path fails before a search.
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         # surrogateescape keeps text mode's lines; a byte that is not UTF-8 then
         # fails the strict decode inside the try, as a fault of its own line.
-        with self.path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
+        with self.path.open("a+", encoding="utf-8", errors="surrogateescape") as handle:
+            handle.seek(0)
             for lineno, line in enumerate(handle, 1):
                 if not line.strip():
                     continue

@@ -19,10 +19,7 @@ real cells, so every cell that ties or beats an extreme is still visited.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import signal
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
@@ -33,6 +30,12 @@ from .exceptions import DomainError
 Site = tuple[tuple[int, ...], int]
 
 DEFAULT_CAP = 1000
+
+# A space of fewer cells (multisets x m) runs in process at any worker count:
+# below it a second worker was never faster (README, measured on 2 cores).
+# The walk sweeps a full period at every node, so cells bound its work from
+# above and the threshold can only err towards starting a pool.
+_POOL_MIN_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,9 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     There is one task per largest element, m-1 down to 0, which is
     enumeration order; every task starts from the same seeds, and task
     results are folded in that order, so the record is identical for any
-    worker count.  The pool is capped at the tasks and the usable CPUs.
+    worker count.  A space of fewer than ``_POOL_MIN_CELLS`` (10^6) cells
+    runs in process whatever ``workers`` says; a larger one with
+    ``workers > 1`` gets a pool capped at the tasks and the usable CPUs.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -213,15 +218,22 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
              for first in range(m - 1, -1, -1)]
     workers = min(workers, len(tasks), _available_cpus())
     sides = (_Side(max, space.cap), _Side(min, space.cap))
-    # Workers ignore SIGINT: on Ctrl-C the parent alone raises, and leaving
-    # the ``with`` terminates them without a traceback from each.
-    pool = (multiprocessing.Pool(workers, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN))
-            if workers > 1 else None)
-    with pool or nullcontext():
-        for result in pool.imap(_task, tasks, chunksize=1) if pool else map(_task, tasks):
+
+    def fold(results: Iterable[list[tuple]]) -> None:
+        for result in results:
             for side, (value, count, sites) in zip(sides, result):
                 side.fold(value, count, sites)
+
+    if workers > 1 and space.multiset_count * m >= _POOL_MIN_CELLS:
+        import multiprocessing  # here, so a process that never needs a pool never pays its import
+        import signal
+        # Workers ignore SIGINT: on Ctrl-C the parent alone raises, and leaving
+        # the ``with`` terminates them without a traceback from each.
+        with multiprocessing.Pool(workers, initializer=signal.signal,
+                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            fold(pool.imap(_task, tasks, chunksize=1))
+    else:
+        fold(map(_task, tasks))
     top, bottom = sides
     return ExtremeRecord(
         n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,

@@ -1,6 +1,7 @@
 """CLI and cache tests, driven through click's CliRunner."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -358,15 +359,37 @@ def test_cli_cache_hit_is_actually_used(runner, tmp_path):
     assert json.loads(result.output)["result"]["max_value"] == 777
 
 
-def test_cli_refuses_an_unusable_cache_path(runner, tmp_path):
+def test_cli_refuses_an_unusable_cache_path(runner, tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before trying the cache path")
+
+    monkeypatch.setattr("floorsum.cache.extremes", no_search)
     blocker = tmp_path / "F"
     blocker.write_text("")
     for path in (blocker / "x", blocker / "x" / "y"):  # a regular file stands in a directory's place
-        result = invoke(runner, "search", "--n", "2", "--m", "3", "--cache", str(path))
+        result = invoke(runner, "search", "--n", "12", "--m", "14", "--cache", str(path))
         assert result.exit_code == 2 and result.stdout == ""
         [line] = result.stderr.splitlines()
         assert line.startswith(f"Error: cannot use cache file {path}: ")
     assert blocker.read_text() == ""
+
+
+def test_table_below_the_cell_threshold_starts_no_pool(runner, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool below the cell threshold")
+
+    serial = invoke(runner, "table", "--n", "4", "--m-max", "10", "--workers", "1")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    parallel = invoke(runner, "table", "--n", "4", "--m-max", "10", "--workers", "2")
+    assert (parallel.exit_code, parallel.output) == (0, serial.output)
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import floorsum.cli, sys; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 # n = 12, m = 20 searches for 7-8 s at --workers 1 or 2 on a 2-core host, so a

@@ -1,6 +1,7 @@
 """Search engine tests: enumeration, extremes, determinism, pruning."""
 
 import math
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -88,9 +89,11 @@ def test_terminal_k_contributes_only_zero():
             assert record.max_value == record.min_value == 0
 
 
-def test_determinism_across_worker_counts():
+def test_determinism_across_worker_counts(monkeypatch):
     # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
-    # truncate site lists that span several tasks
+    # truncate site lists that span several tasks; these small spaces go
+    # through the pool only with the cell threshold at 0
+    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)
     spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
               SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
               SearchSpace(3, 8, (2, 5), cap=2)]
@@ -100,7 +103,7 @@ def test_determinism_across_worker_counts():
             assert extremes(space, workers=w) == expected, (space, w)
 
 
-def test_pruned_walk_matches_the_oracle_on_a_wide_envelope():
+def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
     # every (n, m) with n <= 8 and at most 5000 cells (136 shapes), the full
     # K range and one subrange; capped records are the reference's site
     # lists cut to the cap, as both keep the first sites in enumeration order
@@ -114,6 +117,7 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope():
                 expected = replace(full, cap=cap, max_sites=full.max_sites[:cap],
                                    min_sites=full.min_sites[:cap])
                 assert extremes(SearchSpace(n, m, k_range, cap)) == expected, (n, m, k_range, cap)
+    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)  # so workers 2 and 3 start a pool
     for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
         expected = reference_extremes(space)
         for w in (2, 3):
@@ -148,7 +152,9 @@ def test_prune_bound_holds_for_every_completion():
                     assert lo <= min(values) and max(values) <= hi, (m, a, size)
 
 
-def test_pool_is_capped_at_the_available_cpus(monkeypatch):
+def fake_pool(monkeypatch) -> list[int]:
+    """Patch ``multiprocessing.Pool`` with a fake that runs the tasks in
+    process; return the list it appends each requested pool size to."""
     requested = []
 
     class FakePool:
@@ -164,7 +170,13 @@ def test_pool_is_capped_at_the_available_cpus(monkeypatch):
         def imap(self, func, iterable, chunksize=1):
             return map(func, iterable)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return requested
+
+
+def test_pool_is_capped_at_the_available_cpus(monkeypatch):
+    requested = fake_pool(monkeypatch)
+    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)  # the spaces below are small
     space = SearchSpace(3, 9, cap=2)
     expected = extremes(space, workers=1)
     assert extremes(space, workers=10_000) == expected
@@ -174,6 +186,27 @@ def test_pool_is_capped_at_the_available_cpus(monkeypatch):
     assert requested[-1] == 3
     assert extremes(SearchSpace(3, 2), workers=10_000) == extremes(SearchSpace(3, 2))
     assert requested[-1] == 2  # two tasks
+
+
+def test_spaces_below_the_cell_threshold_run_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool below the cell threshold")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    space = SearchSpace(4, 14)  # 2380 multisets x 14 = 33,320 cells
+    assert extremes(space, workers=2) == extremes(space, workers=1)
+
+
+def test_a_space_at_the_cell_threshold_starts_one_pool(monkeypatch):
+    # n = 1 has m multisets, so m * m cells: 999^2 < 10^6 <= 1000^2
+    requested = fake_pool(monkeypatch)
+    monkeypatch.setattr(search, "_available_cpus", lambda: 2)
+    assert search._POOL_MIN_CELLS == 1000 * 1000
+    below, at = SearchSpace(1, 999), SearchSpace(1, 1000)
+    assert extremes(below, workers=2) == extremes(below, workers=1)
+    assert requested == []
+    assert extremes(at, workers=2) == extremes(at, workers=1)
+    assert requested == [2]
 
 
 def test_site_cap_truncates_but_keeps_counts():
