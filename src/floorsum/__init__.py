@@ -13,15 +13,12 @@ from .conjecture import (
     BoundSpec,
     BoundsReport,
     ConjectureReport,
-    IdentityReport,
     PredictedSite,
     SiteCheck,
     f_sequence,
     f_value,
     known_bounds,
-    n4_partial_lower_identity,
     predicted_extremes,
-    proven_attainment_site,
     recurrence_residual,
     verify_bounds,
     verify_conjecture,
@@ -31,9 +28,7 @@ from .core import (
     eval_closed,
     eval_closed_all_k,
     eval_direct,
-    eval_onevar_closed,
     inner_term,
-    reduce_instance,
 )
 from .exceptions import (
     DivisibilityError,
@@ -42,12 +37,7 @@ from .exceptions import (
     InstanceTooLargeError,
     TableViolationError,
 )
-from .search import (
-    ExtremeRecord,
-    SearchSpace,
-    enumerate_multisets,
-    extremes,
-)
+from .search import ExtremeRecord, SearchSpace, extremes
 from .symmetry import (
     CASE_VALUES,
     BoxRecord,
@@ -56,7 +46,6 @@ from .symmetry import (
     DeltaRecord,
     box,
     case_b_conditions,
-    classify_delta,
     delta,
     mirror,
 )
@@ -77,7 +66,6 @@ __all__ = [
     "DomainError",
     "ExtremeRecord",
     "FloorSumError",
-    "IdentityReport",
     "Instance",
     "InstanceTooLargeError",
     "PredictedSite",
@@ -88,24 +76,18 @@ __all__ = [
     "box",
     "cached_extremes",
     "case_b_conditions",
-    "classify_delta",
     "delta",
-    "enumerate_multisets",
     "eval_closed",
     "eval_closed_all_k",
     "eval_direct",
-    "eval_onevar_closed",
     "extremes",
     "f_sequence",
     "f_value",
     "inner_term",
     "known_bounds",
     "mirror",
-    "n4_partial_lower_identity",
     "predicted_extremes",
-    "proven_attainment_site",
     "recurrence_residual",
-    "reduce_instance",
     "sequence_table",
     "verify_bounds",
     "verify_conjecture",

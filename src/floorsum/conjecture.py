@@ -80,6 +80,8 @@ def f_sequence(n_max: int) -> list[Fraction]:
 
 def f_value(n: int) -> Fraction:
     """f(n) for a single n >= 2."""
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     return f_sequence(n)[n - 2]
 
 
@@ -102,14 +104,7 @@ def _conjecture_block(n: int) -> tuple[int, int]:
     n = 4k+2 -> part 2."""
     if n < 4:
         raise DomainError(f"the conjecture covers n >= 4, got {n}")
-    r = n % 4
-    if r == 3:
-        return 1, (n + 1) // 4
-    if r == 0:
-        return 1, n // 4
-    if r == 1:
-        return 1, (n - 1) // 4
-    return 2, (n - 2) // 4
+    return (2 if n % 4 == 2 else 1, (n + 1) // 4)
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,6 @@ class PredictedSite:
     a: tuple[int, ...]
     k: int
     divisor: int
-
-    @property
-    def site(self) -> tuple[tuple[int, ...], int]:
-        return (self.a, self.k)
 
 
 def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
@@ -152,20 +143,6 @@ def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
         v = c * m // d
         sites.append(PredictedSite(a=(v,) * n, k=v - 1, divisor=d))
     return sites
-
-
-def proven_attainment_site(n: int, m: int) -> PredictedSite:
-    """The half-modulus site A = {m/2}^n, K = m/2 - 1 (m even, n >= 3).
-
-    Evaluating S there gives exactly 2^(n-2)*floor(m/2) for even n and
-    -2^(n-2)*floor(m/2) for odd n.
-    """
-    if n < 3:
-        raise DomainError(f"the attainment site is stated for n >= 3, got {n}")
-    if m % 2:
-        raise DomainError(f"the attainment site requires m even, got {m}")
-    half = m // 2
-    return PredictedSite(a=(half,) * n, k=half - 1, divisor=2)
 
 
 @dataclass(frozen=True)
@@ -372,53 +349,4 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
         site_checks=tuple(checks),
         attaining_count=count,
         sites_exact=sites_exact,
-    )
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of the four-element five-sum identity at one cell."""
-
-    lhs: int
-    terms: tuple[int, int, int, int, int]
-    rhs: int
-    holds: bool
-    lower_bound: int
-    bound_holds: bool
-
-
-def n4_partial_lower_identity(m: int, a: Sequence[int], k: int) -> IdentityReport:
-    """Evaluate S({a1..a4}, K) against its five-sum regrouping.
-
-    S({a1,a2,a3,a4}, K) = S({a1+a2+a3, a4}, K) - S({a1+a2, a4}, K)
-                        - S({a1+a3, a4}, K) - S({a2, a3, a4}, K)
-                        + S({a1, a4}, K)
-
-    and confirm the partial lower bound S >= -2*floor(m/2) - floor(m/3).
-    Requires a bounded four-element instance.
-    """
-    values = tuple(a)
-    if len(values) != 4:
-        raise DomainError(f"expected 4 elements, got {len(values)}")
-    inst = Instance(m, values, k)
-    if not inst.is_bounded:
-        raise DomainError("the identity check expects a bounded instance")
-    a1, a2, a3, a4 = values
-    terms = (
-        eval_closed(Instance(m, (a1 + a2 + a3, a4), k)),
-        eval_closed(Instance(m, (a1 + a2, a4), k)),
-        eval_closed(Instance(m, (a1 + a3, a4), k)),
-        eval_closed(Instance(m, (a2, a3, a4), k)),
-        eval_closed(Instance(m, (a1, a4), k)),
-    )
-    lhs = eval_closed(inst)
-    rhs = terms[0] - terms[1] - terms[2] - terms[3] + terms[4]
-    bound = -2 * (m // 2) - m // 3
-    return IdentityReport(
-        lhs=lhs,
-        terms=terms,
-        rhs=rhs,
-        holds=lhs == rhs,
-        lower_bound=bound,
-        bound_holds=lhs >= bound,
     )

@@ -119,30 +119,16 @@ def eval_direct(inst: Instance) -> int:
     return sum(sg * ((k + s) // m) for k in range(inst.k + 1) for sg, s in pairs)
 
 
-def eval_onevar_closed(m: int, a1: int, k: int) -> int:
-    """Closed form for the one-element sum S_m({a1}, K), 0 <= K <= m-1.
-
-    a1 may exceed m-1 (the one-element sum is not m-periodic), but the
-    formula is only proven on the stated K range and K >= m is rejected.
-    """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if a1 < 0:
-        raise DomainError(f"a1 must be >= 0, got {a1}")
-    if not 0 <= k <= m - 1:
-        raise DomainError(f"k must be in [0, {m - 1}], got {k}")
-    return (a1 // m) * (k + 1) + max(0, a1 % m + k - m + 1)
-
-
 def eval_closed(inst: Instance) -> int:
     """Closed form: inclusion-exclusion of one-element closed forms.
 
     S_m(A, K) = sum over subsets T of (-1)^(n-|T|) *
                 [ floor(s_T/m)*(K+1) + max(0, (s_T mod m) + K - m + 1) ]
 
-    Valid for 0 <= K <= m-1 (the range the one-element form is proven
-    on); the empty subset contributes max(0, K-m+1) = 0 there, so it
-    needs no special case.  Cost O(2^n), independent of K.
+    where the bracket is the one-element sum S_m({s_T}, K), for any
+    s_T >= 0.  Valid for 0 <= K <= m-1 (the range the one-element form
+    is proven on); the empty subset contributes max(0, K-m+1) = 0 there,
+    so it needs no special case.  Cost O(2^n), independent of K.
     """
     m, k = inst.m, inst.k
     if not 0 <= k <= m - 1:
@@ -162,7 +148,7 @@ def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
     S_m(A, K) = f_A(0) + ... + f_A(K) are then the prefix sums.  Each
     step sums to 0 over a period, hence S_m(A, m-1) = 0 for n >= 2.
 
-    Requires 0 <= a_i <= m-1 (cf. ``reduce_instance``); O(n*m) for all K.
+    Requires 0 <= a_i <= m-1; O(n*m) for all K.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
@@ -177,13 +163,3 @@ def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
     for b in rest:
         f = [x - y for x, y in zip(f[b:] + f[:b], f)]
     return list(accumulate(f))
-
-
-def reduce_instance(inst: Instance) -> Instance:
-    """Replace every element by its residue mod m; S is invariant for n >= 2.
-
-    Rejected for n=1, where the sum is not m-periodic in the element.
-    """
-    if inst.n < 2:
-        raise DomainError("reduction is only value-preserving for n >= 2")
-    return Instance(inst.m, tuple(v % inst.m for v in inst.a), inst.k)

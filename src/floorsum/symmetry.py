@@ -126,16 +126,6 @@ def _check_delta_domain(m: int, pair: tuple[int, ...], k: int) -> None:
         raise DomainError(f"k must be in [1, {m // 2 - 1}], got {k}")
 
 
-def classify_delta(m: int, a1: int, a2: int, k: int) -> DeltaCase:
-    """Case id from the (wrap, tail) condition pair."""
-    cond_sum = a1 + a2 >= m
-    cond_tail = a2 + k - m + 1 > 0
-    case_id = {(False, False): 1, (False, True): 2, (True, False): 3, (True, True): 4}[
-        (cond_sum, cond_tail)
-    ]
-    return DeltaCase(case_id, cond_sum, cond_tail)
-
-
 def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     """Two-variable difference S({a1,a2},K) - S({a1+1,a2},K-1), classified.
 
@@ -145,7 +135,9 @@ def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     """
     _check_delta_domain(m, (a1, a2), k)
     value = eval_closed(Instance(m, (a1, a2), k)) - eval_closed(Instance(m, (a1 + 1, a2), k - 1))
-    case = classify_delta(m, a1, a2, k)
+    cond_sum = a1 + a2 >= m
+    cond_tail = a2 + k - m + 1 > 0
+    case = DeltaCase(1 + cond_tail + 2 * cond_sum, cond_sum, cond_tail)
     if value != CASE_VALUES[case.case_id]:
         raise TableViolationError(
             f"delta({m}, {a1}, {a2}, {k}) = {value} but case {case.case_id} "

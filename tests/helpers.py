@@ -6,8 +6,9 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from floorsum import DomainError, ExtremeRecord, Instance, enumerate_multisets, eval_closed
+from floorsum import DomainError, ExtremeRecord, Instance, eval_closed
 from floorsum.core import _signed_subset_sums
+from floorsum.search import enumerate_multisets
 
 
 def iter_bounded(n_max, m_max, n_min=1):
@@ -53,6 +54,21 @@ def subset_terms(a: Sequence[int]) -> list[SubsetTerm]:
         raise DomainError("the multiset must be nonempty with elements >= 0")
     return [SubsetTerm(mask, s, sg)
             for mask, (sg, s) in enumerate(_signed_subset_sums(values))]
+
+
+def n4_five_sum(m: int, a: Sequence[int], k: int) -> tuple[int, int, tuple[int, ...]]:
+    """(lhs, rhs, terms) of the four-element five-sum regrouping
+
+    S({a1,a2,a3,a4}, K) = S({a1+a2+a3, a4}, K) - S({a1+a2, a4}, K)
+                        - S({a1+a3, a4}, K) - S({a2, a3, a4}, K) + S({a1, a4}, K)
+
+    with every sum by ``eval_closed``; terms are the five right-hand sums in order.
+    """
+    a1, a2, a3, a4 = a
+    groups = ((a1 + a2 + a3, a4), (a1 + a2, a4), (a1 + a3, a4), (a2, a3, a4), (a1, a4))
+    terms = tuple(eval_closed(Instance(m, g, k)) for g in groups)
+    rhs = terms[0] - terms[1] - terms[2] - terms[3] + terms[4]
+    return eval_closed(Instance(m, tuple(a), k)), rhs, terms
 
 
 def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:

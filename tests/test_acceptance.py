@@ -21,11 +21,11 @@ from floorsum import (
     extremes,
     f_sequence,
     mirror,
-    n4_partial_lower_identity,
     recurrence_residual,
     sequence_table,
     verify_conjecture,
 )
+from helpers import n4_five_sum
 
 # Published n=4 extreme sequences, m = 1..22.
 N4_MAX = [0, 4, 3, 8, 7, 12, 11, 16, 15, 20, 19, 24,
@@ -92,8 +92,8 @@ def test_criterion_3_proven_bounds():
                 sweep = eval_closed_all_k(m, a)
                 for k, v in enumerate(sweep):
                     assert lower <= v <= upper, (m, a, k)
-                    report = n4_partial_lower_identity(m, a, k)
-                    assert report.holds and report.bound_holds, (m, a, k)
+                    lhs, rhs, _ = n4_five_sum(m, a, k)
+                    assert lhs == rhs == v, (m, a, k)
 
 
 def test_criterion_4_mirror_lemmas():

@@ -14,20 +14,16 @@ from floorsum import (
     DomainError,
     Instance,
     ResultCache,
-    SearchSpace,
-    eval_closed,
     eval_direct,
-    extremes,
     f_sequence,
     f_value,
     known_bounds,
-    n4_partial_lower_identity,
     predicted_extremes,
-    proven_attainment_site,
     recurrence_residual,
     verify_bounds,
     verify_conjecture,
 )
+from helpers import n4_five_sum
 
 INITIAL = [0, Fraction(1, 3), -1, 2, -3, 8, -18, 36, -65]
 
@@ -89,6 +85,12 @@ def test_f_sequence_rejects_small_n():
         f_sequence(1)
 
 
+def test_f_value_rejects_small_n_in_its_own_terms():
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError, match=f"^n must be >= 2, got {n}$"):
+            f_value(n)
+
+
 # ------------------------------------------------------------- known bounds
 
 
@@ -146,6 +148,16 @@ def test_predicted_sites_four_site_arities():
     ]
 
 
+def test_predicted_sites_divisors_per_block():
+    # n = 4k-1, 4k, 4k+1 need 2k+1; n = 4k+2 needs 2k+1 and 2k+3
+    for n in range(4, 30):
+        k = (n + 1) // 4
+        m = (2 * k + 1) * (2 * k + 3)
+        divisors = {site.divisor for site in predicted_extremes(n, m)}
+        expected = {2 * k + 1, 2 * k + 3} if n == 4 * k + 2 else {2 * k + 1}
+        assert divisors == expected, n
+
+
 def test_predicted_sites_divisibility_errors():
     with pytest.raises(DivisibilityError, match="multiple of 3"):
         predicted_extremes(5, 5)
@@ -153,20 +165,6 @@ def test_predicted_sites_divisibility_errors():
         predicted_extremes(6, 10)  # 5 | 10 but 3 does not divide 10
     with pytest.raises(DomainError):
         predicted_extremes(3, 6)
-
-
-def test_proven_attainment_site():
-    site = proven_attainment_site(4, 2)
-    assert site.a == (1, 1, 1, 1) and site.k == 0
-    assert eval_closed(Instance(2, site.a, site.k)) == 4  # +2^(n-2)*floor(m/2)
-    site = proven_attainment_site(3, 4)
-    assert eval_closed(Instance(4, site.a, site.k)) == -4
-    site = proven_attainment_site(5, 4)
-    assert eval_closed(Instance(4, site.a, site.k)) == -16
-    with pytest.raises(DomainError):
-        proven_attainment_site(4, 5)
-    with pytest.raises(DomainError):
-        proven_attainment_site(2, 4)
 
 
 # ------------------------------------------------------------ verification
@@ -264,38 +262,30 @@ def test_verify_conjecture_divisibility_error_propagates():
 
 
 def test_identity_known_values():
-    report = n4_partial_lower_identity(6, (5, 4, 3, 2), 2)
-    assert report.holds and report.bound_holds
-    assert report.lhs == report.rhs
+    lhs, rhs, t = n4_five_sum(6, (5, 4, 3, 2), 2)
+    assert lhs == rhs >= -2 * 3 - 2
     # both sides independently against the oracle
-    assert report.lhs == eval_direct(Instance(6, (5, 4, 3, 2), 2))
-    t = report.terms
+    assert lhs == eval_direct(Instance(6, (5, 4, 3, 2), 2))
     assert t[0] == eval_direct(Instance(6, (12, 2), 2))
     assert t[4] == eval_direct(Instance(6, (5, 2), 2))
 
-    report = n4_partial_lower_identity(6, (0, 0, 0, 0), 1)
-    assert report.holds and report.lhs == 0 and all(v == 0 for v in report.terms)
+    lhs, rhs, t = n4_five_sum(6, (0, 0, 0, 0), 1)
+    assert lhs == rhs == 0 and all(v == 0 for v in t)
 
     # the grouping distinguishes a4, but the identity holds in any order
     for order in ((2, 5, 1, 4), (4, 1, 5, 2), (1, 4, 2, 5)):
-        report = n4_partial_lower_identity(6, order, 3)
-        assert report.holds and report.lhs == eval_direct(Instance(6, order, 3))
+        lhs, rhs, _ = n4_five_sum(6, order, 3)
+        assert lhs == rhs == eval_direct(Instance(6, order, 3))
 
 
 def test_identity_exhaustive_small():
+    # the identity, and the partial lower bound S >= -2*floor(m/2) - floor(m/3)
     for m in range(1, 11):
         for a1 in range(m):
             for a2 in range(a1 + 1):
                 for a3 in range(a2 + 1):
                     for a4 in range(a3 + 1):
                         for k in range(m):
-                            report = n4_partial_lower_identity(m, (a1, a2, a3, a4), k)
-                            assert report.holds, (m, (a1, a2, a3, a4), k)
-                            assert report.bound_holds, (m, (a1, a2, a3, a4), k)
-
-
-def test_identity_rejects_wrong_shapes():
-    with pytest.raises(DomainError):
-        n4_partial_lower_identity(6, (1, 2, 3), 1)
-    with pytest.raises(DomainError):
-        n4_partial_lower_identity(6, (7, 2, 3, 1), 1)  # not bounded
+                            lhs, rhs, _ = n4_five_sum(m, (a1, a2, a3, a4), k)
+                            assert lhs == rhs, (m, (a1, a2, a3, a4), k)
+                            assert lhs >= -2 * (m // 2) - m // 3, (m, (a1, a2, a3, a4), k)

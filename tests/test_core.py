@@ -18,9 +18,7 @@ from floorsum import (
     eval_closed,
     eval_closed_all_k,
     eval_direct,
-    eval_onevar_closed,
     inner_term,
-    reduce_instance,
 )
 from helpers import bounded_instances, iter_bounded, subset_terms
 
@@ -47,10 +45,16 @@ def test_modulus_one_collapses_for_n_at_least_two():
 
 
 def test_eval_onevar_closed_known_values():
-    assert eval_onevar_closed(5, 7, 2) == 3
-    assert eval_onevar_closed(5, 4, 4) == 4  # the n=1 maximum m-1 at a1=K=m-1
+    # the closed form on one element, which may exceed m-1 (no periodicity)
+    assert eval_closed(Instance(5, (7,), 2)) == 3
+    assert eval_closed(Instance(5, (4,), 4)) == 4  # the n=1 maximum m-1 at a1=K=m-1
     for m, k in ((3, 2), (9, 0), (12, 11)):
-        assert eval_onevar_closed(m, 0, k) == 0
+        assert eval_closed(Instance(m, (0,), k)) == 0
+    for m in range(1, 13):
+        for a1 in range(3 * m + 2):
+            for k in range(m):
+                inst = Instance(m, (a1,), k)
+                assert eval_closed(inst) == eval_direct(inst), inst
 
 
 def test_eval_closed_known_values():
@@ -60,13 +64,9 @@ def test_eval_closed_known_values():
 
 
 def test_reduce_instance():
-    reduced = reduce_instance(Instance(5, (7, 3), 2))
-    assert reduced.a == (3, 2) and reduced.k == 2
-    assert eval_direct(Instance(5, (7, 3), 2)) == eval_direct(reduced)
-    assert reduce_instance(Instance(5, (2, 3), 2)).a == (3, 2)
-    zeroed = reduce_instance(Instance(3, (6, 6, 6), 1))
-    assert zeroed.a == (0, 0, 0)
-    assert eval_direct(zeroed) == 0
+    # replacing every element by its residue mod m leaves S unchanged for n >= 2
+    assert eval_direct(Instance(5, (7, 3), 2)) == eval_direct(Instance(5, (2, 3), 2))
+    assert eval_direct(Instance(3, (6, 6, 6), 1)) == eval_direct(Instance(3, (0, 0, 0), 1)) == 0
 
 
 # ------------------------------------------------------------- validation
@@ -94,7 +94,7 @@ def test_closed_forms_reject_k_outside_proven_range():
     with pytest.raises(DomainError):
         eval_closed(Instance(5, (2, 3), 5))
     with pytest.raises(DomainError):
-        eval_onevar_closed(5, 3, 5)
+        eval_closed(Instance(5, (3,), 5))
     # the oracle itself has no such restriction; each full k-period sums
     # to zero for n >= 2, so S at K = 2m-1 vanishes like at K = m-1
     assert eval_direct(Instance(5, (2, 3), 9)) == 0
@@ -103,8 +103,8 @@ def test_closed_forms_reject_k_outside_proven_range():
 
 def test_reduce_rejects_one_element_multisets():
     # the one-element sum is not m-periodic: S_5({7},2)=3 but S_5({2},2)=0
-    with pytest.raises(DomainError):
-        reduce_instance(Instance(5, (7,), 2))
+    assert eval_direct(Instance(5, (7,), 2)) == 3
+    assert eval_direct(Instance(5, (2,), 2)) == 0
 
 
 def test_oversized_instances_are_rejected():
@@ -157,7 +157,7 @@ def test_periodicity_in_the_elements(data):
     a = tuple(data.draw(st.lists(st.integers(0, 3 * m), min_size=n, max_size=n), label="a"))
     k = data.draw(st.integers(0, 2 * m), label="k")
     inst = Instance(m, a, k)
-    assert eval_direct(inst) == eval_direct(reduce_instance(inst))
+    assert eval_direct(inst) == eval_direct(Instance(m, tuple(v % m for v in a), k))
 
 
 @given(bounded_instances(n_min=2, n_max=5, m_max=12))
@@ -187,7 +187,7 @@ def test_one_element_bounds_exhaustive():
     for m in range(1, 13):
         for a1 in range(m):
             for k in range(m):
-                value = eval_onevar_closed(m, a1, k)
+                value = eval_closed(Instance(m, (a1,), k))
                 assert 0 <= value <= m - 1
                 if value == m - 1 and m > 1:
                     assert a1 == k == m - 1

@@ -11,14 +11,13 @@ from floorsum import (
     ExtremeRecord,
     Instance,
     SearchSpace,
-    enumerate_multisets,
     eval_closed,
     eval_direct,
     extremes,
     search,
     sequence_table,
 )
-from floorsum.search import DEFAULT_CAP
+from floorsum.search import DEFAULT_CAP, enumerate_multisets
 from helpers import extreme_values_mirror_pruned, reference_extremes
 
 # First twelve entries of the published n=4 extreme sequences.
