@@ -8,6 +8,9 @@ keys; CSV output is a header row followed by data rows.  Both are
 deterministic for a given configuration: keys are sorted and column
 order is fixed.
 
+Click's parameter names are ``RunConfig``'s fields: a command passes them
+straight on once ``_checked`` has applied the flag floors and parsed --a.
+
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
 unusable cache path or instances too large for checked 64-bit
@@ -22,7 +25,7 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import click
@@ -64,20 +67,16 @@ class RunConfig:
     cap: int | None = None
 
     def to_dict(self) -> dict:
-        """Serializable form: the mathematical query only.
+        """Serializable form: the mathematical query only, unset fields left
+        out and ``fmt`` named ``format``.
 
         Worker count and cache location never change a result (the
         reduction is deterministic and cached records are transparent),
         so they are left out to keep output byte-identical across them.
         """
-        out = {"command": self.command, "format": self.fmt}
-        for name in ("n", "m", "n_max", "m_max", "k", "k_lo", "k_hi", "cap"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.a is not None:
-            out["a"] = list(self.a)
-        return out
+        return {("format" if f.name == "fmt" else f.name): getattr(self, f.name)
+                for f in fields(self) if f.name not in ("workers", "cache_path")
+                and getattr(self, f.name) is not None}
 
     @property
     def cache(self) -> ResultCache | None:
@@ -285,11 +284,21 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
-def _at_least(low: int, **flags: int | None) -> None:
-    """Usage error for the first given flag below ``low``; ``m_max`` names ``--m-max``."""
-    for name, value in flags.items():
-        if value is not None and value < low:
-            raise click.UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+# Each flag's least value, in the order checked; verify-conjecture raises --n's.
+_FLOORS = {"n": 1, "m": 1, "n_max": 2, "m_max": 1, "cap": 1, "workers": 1}
+
+
+def _checked(params: dict, **floors: int) -> dict:
+    """Click's params once every flag is at its floor and ``--a`` parses.  Both
+    run after click has read every flag, so several bad flags report the same
+    first error in any order on the command line."""
+    for name, low in {**_FLOORS, **floors}.items():
+        value = params.get(name)
+        _require(value is None or value >= low,
+                 f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    if "a" in params:
+        params["a"] = _parse_multiset(params["a"])
+    return params
 
 
 def _finish(config: RunConfig) -> None:
@@ -333,98 +342,85 @@ def cli() -> None:
 
 @cli.command("eval")
 @click.option("--m", type=int, required=True, help="Modulus (>= 1).")
-@click.option("--a", "a_text", required=True, help="Multiset, comma-separated (e.g. 2,3).")
+@click.option("--a", required=True, help="Multiset, comma-separated (e.g. 2,3).")
 @click.option("--k", type=int, required=True, help="Prefix bound K, in [0, m-1].")
 @format_option
-def eval_cmd(m: int, a_text: str, k: int, fmt: str) -> None:
+def eval_cmd(**params) -> None:
     """Evaluate S_m(A, K) by the closed form."""
-    _at_least(1, m=m)
-    a = _parse_multiset(a_text)
-    _require(0 <= k <= m - 1, f"--k must be in [0, {m - 1}], got {k}")
-    _finish(RunConfig(command="eval", fmt=fmt, m=m, a=a, k=k))
+    config = RunConfig("eval", **_checked(params))
+    _require(0 <= config.k <= config.m - 1, f"--k must be in [0, {config.m - 1}], got {config.k}")
+    _finish(config)
 
 
 @cli.command("table")
 @click.option("--n", type=int, required=True, help="Arity (number of multiset elements).")
 @click.option("--m-max", type=int, required=True, help="Tabulate m = 1..m_max.")
 @search_options
-def table_cmd(n: int, m_max: int, fmt: str, workers: int, cache_path: str | None) -> None:
+def table_cmd(**params) -> None:
     """Max/min sequences of S_m over bounded instances, m = 1..m_max."""
-    _at_least(1, n=n, m_max=m_max, workers=workers)
-    _finish(RunConfig(command="table", fmt=fmt, workers=workers, cache_path=cache_path,
-                      n=n, m_max=m_max))
+    _finish(RunConfig("table", **_checked(params)))
 
 
 @cli.command("search")
 @click.option("--n", type=int, required=True, help="Arity.")
 @click.option("--m", type=int, required=True, help="Modulus.")
-@click.option("--k-min", "k_lo", type=int, default=None, help="Low end of the K range.")
+@click.option("--k-min", "k_lo", type=int, default=0, help="Low end of the K range.")
 @click.option("--k-max", "k_hi", type=int, default=None, help="High end of the K range.")
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True,
               help="Maximum number of attaining sites to record per side.")
 @search_options
-def search_cmd(n: int, m: int, k_lo: int | None, k_hi: int | None, cap: int,
-               fmt: str, workers: int, cache_path: str | None) -> None:
+def search_cmd(**params) -> None:
     """Exhaustive extremal search over every bounded (A, K)."""
-    _at_least(1, n=n, m=m, cap=cap, workers=workers)
-    k_lo = 0 if k_lo is None else k_lo
-    k_hi = m - 1 if k_hi is None else k_hi
-    _require(0 <= k_lo <= k_hi <= m - 1,
-             f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {m - 1}")
-    _finish(RunConfig(command="search", fmt=fmt, workers=workers, cache_path=cache_path,
-                      n=n, m=m, k_lo=k_lo, k_hi=k_hi, cap=cap))
+    config = RunConfig("search", **_checked(params))
+    k_hi = config.m - 1 if config.k_hi is None else config.k_hi
+    _require(0 <= config.k_lo <= k_hi <= config.m - 1,
+             f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {config.m - 1}")
+    _finish(replace(config, k_hi=k_hi))
 
 
 @cli.command("verify-bounds")
 @click.option("--n", type=int, required=True, help="Arity.")
 @click.option("--m", type=int, required=True, help="Modulus.")
 @search_options
-def verify_bounds_cmd(n: int, m: int, fmt: str, workers: int, cache_path: str | None) -> None:
+def verify_bounds_cmd(**params) -> None:
     """Search (n, m) exhaustively and compare against the known bounds.
 
     Exits nonzero only if a proven bound is violated (an implementation
     bug); a conjectured bound that is not attained is reported, not fatal.
     """
-    _at_least(1, n=n, m=m, workers=workers)
-    _finish(RunConfig(command="verify-bounds", fmt=fmt, workers=workers,
-                      cache_path=cache_path, n=n, m=m))
+    _finish(RunConfig("verify-bounds", **_checked(params)))
 
 
 @cli.command("verify-conjecture")
 @click.option("--n", type=int, required=True, help="Arity (>= 4).")
 @click.option("--m", type=int, required=True, help="Modulus (must admit the predicted sites).")
 @search_options
-def verify_conjecture_cmd(n: int, m: int, fmt: str, workers: int,
-                          cache_path: str | None) -> None:
+def verify_conjecture_cmd(**params) -> None:
     """Check M(n) = m*f(n) and the predicted sites against full search."""
-    _at_least(4, n=n)
-    _at_least(1, m=m, workers=workers)
-    _finish(RunConfig(command="verify-conjecture", fmt=fmt, workers=workers,
-                      cache_path=cache_path, n=n, m=m))
+    _finish(RunConfig("verify-conjecture", **_checked(params, n=4)))
 
 
 @cli.command("f-seq")
 @click.option("--n-max", type=int, required=True, help="Last index to produce (>= 2).")
 @format_option
-def f_seq_cmd(n_max: int, fmt: str) -> None:
+def f_seq_cmd(**params) -> None:
     """Exact rational sequence f(2..n_max) from the ninth-order recurrence."""
-    _at_least(2, n_max=n_max)
-    _finish(RunConfig(command="f-seq", fmt=fmt, n_max=n_max))
+    _finish(RunConfig("f-seq", **_checked(params)))
 
 
 @cli.command("delta-scan")
 @click.option("--m", type=int, default=None, help="Scan a single modulus.")
 @click.option("--m-max", type=int, default=None, help="Scan every modulus 1..m_max.")
 @format_option
-def delta_scan_cmd(m: int | None, m_max: int | None, fmt: str) -> None:
+def delta_scan_cmd(**params) -> None:
     """Audit the two-variable difference against its case table.
 
     Scans every legal (a1, a2, K) cell; any value/case mismatch aborts
     with exit status 3.
     """
-    _require((m is None) != (m_max is None), "exactly one of --m / --m-max is required")
-    _at_least(1, m=m, m_max=m_max)
-    _finish(RunConfig(command="delta-scan", fmt=fmt, m=m, m_max=m_max))
+    _require((params["m"] is None) != (params["m_max"] is None),
+             "exactly one of --m / --m-max is required")
+    _finish(RunConfig("delta-scan", **_checked(params)))
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
@@ -89,34 +89,18 @@ class ExtremeRecord:
         return len(self.max_sites) < self.max_count or len(self.min_sites) < self.min_count
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "k_range": list(self.k_range),
-            "cap": self.cap,
-            "max_value": self.max_value,
-            "min_value": self.min_value,
-            "max_sites": [[list(a), k] for a, k in self.max_sites],
-            "min_sites": [[list(a), k] for a, k in self.min_sites],
-            "max_count": self.max_count,
-            "min_count": self.min_count,
-            "truncated": self.truncated,
-        }
+        """Every field, plus ``truncated``; JSON writes the tuples as lists."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "truncated": self.truncated}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtremeRecord":
-        return cls(
-            n=data["n"],
-            m=data["m"],
-            k_range=tuple(data["k_range"]),
-            cap=data["cap"],
-            max_value=data["max_value"],
-            min_value=data["min_value"],
-            max_sites=tuple((tuple(a), k) for a, k in data["max_sites"]),
-            min_sites=tuple((tuple(a), k) for a, k in data["min_sites"]),
-            max_count=data["max_count"],
-            min_count=data["min_count"],
-        )
+        """Inverse of ``to_dict``; a missing field raises ``KeyError`` naming it."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["k_range"] = tuple(values["k_range"])
+        for side in ("max_sites", "min_sites"):
+            values[side] = tuple((tuple(a), k) for a, k in values[side])
+        return cls(**values)
 
 
 def enumerate_multisets(n: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -21,7 +21,7 @@ from floorsum import (
     extremes,
     sequence_table,
 )
-from floorsum.cli import cli
+from floorsum.cli import RunConfig, cli, run
 
 
 @pytest.fixture
@@ -219,6 +219,73 @@ def test_delta_scan_flag_validation(runner):
     assert invoke(runner, "delta-scan", "--m", "5", "--m-max", "6").exit_code == 2
 
 
+# ------------------------------------------------------- several bad flags
+
+# The first error of an invocation with several bad flags: click's missing
+# and type errors, then delta-scan's one-of check, then the floors in the
+# order n, m, n_max, m_max, cap, workers whatever the argv order; eval
+# checks --m, --a, then --k, and search its K range after the floors.
+FIRST_ERRORS = [
+    ("search --workers 0 --cap 0 --n 2 --m 3", "--cap must be >= 1, got 0"),
+    ("search --n 0 --m 0 --cap 0 --workers 0", "--n must be >= 1, got 0"),
+    ("search --cap 0 --workers 0 --m 0 --n 2", "--m must be >= 1, got 0"),
+    ("search --workers 0 --n 2 --m 8 --k-min 5 --k-max 3", "--workers must be >= 1, got 0"),
+    ("search --k-max 9 --workers 0 --n x --cap 0",
+     "Invalid value for '--n': 'x' is not a valid integer."),
+    ("table --m-max 0", "Missing option '--n'."),
+    ("table --workers 0 --m-max 0 --n 1", "--m-max must be >= 1, got 0"),
+    ("verify-bounds --workers 0 --m 0 --n 0", "--n must be >= 1, got 0"),
+    ("verify-conjecture --workers 0 --m 0 --n 3", "--n must be >= 4, got 3"),
+    ("verify-conjecture --workers 0 --m 5 --n 5", "--workers must be >= 1, got 0"),
+    ("f-seq --format xml --n-max 1",
+     "Invalid value for '--format': 'xml' is not one of 'human', 'csv', 'json'."),
+    ("delta-scan --m-max 0 --m 0", "exactly one of --m / --m-max is required"),
+    ("delta-scan --m-max 0 --format json", "--m-max must be >= 1, got 0"),
+    ("eval --k 9 --a x --m 0", "--m must be >= 1, got 0"),
+    ("eval --k 9 --a x --m 5", "--a expects comma-separated integers, got 'x'"),
+    ("eval --k 9 --a 1,-2 --m 5", "--a elements must be >= 0"),
+    ("eval --k x --a x --m 0", "Invalid value for '--k': 'x' is not a valid integer."),
+    ("eval --m 0 --k 9", "Missing option '--a'."),
+]
+
+
+@pytest.mark.parametrize("argv, error", FIRST_ERRORS)
+def test_several_bad_flags_report_one_fixed_first_error(runner, argv, error):
+    result = runner.invoke(cli, argv.split())
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"Error: {error}"
+
+
+# ------------------------------------------------------------------ run()
+
+# One query per command: its argv and the RunConfig fields the CLI resolves.
+RUN_QUERIES = [
+    ("eval --m 5 --a 2,3 --k 1 --format json", dict(command="eval", m=5, a=(3, 2), k=1,
+                                                    fmt="json")),
+    ("table --n 3 --m-max 6 --format csv", dict(command="table", n=3, m_max=6, fmt="csv")),
+    ("search --n 3 --m 7 --k-min 1 --cap 2 --format json",
+     dict(command="search", n=3, m=7, k_lo=1, k_hi=6, cap=2, fmt="json")),
+    ("verify-bounds --n 4 --m 12", dict(command="verify-bounds", n=4, m=12)),
+    ("verify-conjecture --n 5 --m 6 --format json",
+     dict(command="verify-conjecture", n=5, m=6, fmt="json")),
+    ("f-seq --n-max 12 --format csv", dict(command="f-seq", n_max=12, fmt="csv")),
+    ("delta-scan --m-max 6", dict(command="delta-scan", m_max=6)),
+]
+
+
+@pytest.mark.parametrize("argv, fields", RUN_QUERIES)
+def test_run_returns_the_cli_exit_code_and_stdout(runner, argv, fields):
+    result = invoke(runner, *argv.split())
+    assert run(RunConfig(**fields)) == (result.exit_code, result.stdout)
+
+
+def test_run_returns_the_exit_code_of_a_proven_bound_violation(runner, tmp_path):
+    path = _poison(tmp_path, SearchSpace(2, 10), max_value=99)
+    result = invoke(runner, "verify-bounds", "--n", "2", "--m", "10", "--cache", path)
+    config = RunConfig("verify-bounds", n=2, m=10, cache_path=path)
+    assert run(config) == (result.exit_code, result.stdout) and result.exit_code == 3
+
+
 # ------------------------------------------------------------------ cache
 
 
@@ -231,6 +298,24 @@ def test_cache_roundtrip(tmp_path):
     assert reloaded == record
     assert reloaded.to_dict() == record.to_dict()
     assert (record.max_value, record.min_value) == (15, -9)
+
+
+# The cache file format: one JSON object per line, keys sorted, tuples as lists.
+CACHE_LINE = (
+    b'{"key": {"cap": 2, "k_hi": 4, "k_lo": 1, "m": 6, "n": 3}, "record": {"cap": 2, '
+    b'"k_range": [1, 4], "m": 6, "max_count": 2, "max_sites": [[[4, 4, 4], 3], '
+    b'[[2, 2, 2], 1]], "max_value": 2, "min_count": 1, "min_sites": [[[3, 3, 3], 2]], '
+    b'"min_value": -6, "n": 3, "truncated": false}}\n')
+
+
+def test_cache_line_bytes_are_pinned(tmp_path):
+    space = SearchSpace(3, 6, (1, 4), cap=2)
+    written = tmp_path / "written.jsonl"
+    ResultCache(written).put(space, extremes(space))
+    assert written.read_bytes() == CACHE_LINE
+    stored = tmp_path / "stored.jsonl"
+    stored.write_bytes(CACHE_LINE)
+    assert ResultCache(stored).get(space) == extremes(space)
 
 
 def test_cache_miss_on_key_mismatch(tmp_path):

@@ -225,6 +225,13 @@ def test_record_dict_roundtrip():
     assert ExtremeRecord.from_dict(record.to_dict()) == record
 
 
+def test_record_from_dict_names_the_first_missing_field():
+    data = extremes(SearchSpace(3, 6)).to_dict()
+    del data["min_count"], data["cap"]
+    with pytest.raises(KeyError, match="'cap'"):
+        ExtremeRecord.from_dict(data)
+
+
 def test_sequence_table_known_prefix():
     maxima, minima = sequence_table(4, 12)
     assert maxima == N4_MAX_PREFIX
