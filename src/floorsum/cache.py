@@ -3,9 +3,9 @@
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
 not decode or parse, do not round-trip into an ExtremeRecord of plain
 ints, or hold a record for another space than their key, are discarded
-with a warning and the search reruns; a cached hit is indistinguishable
-in content from a fresh computation.  The file is read once per
-``ResultCache`` and lookups are answered from memory.
+with one warning each when the file is read, and the search reruns; a
+cached hit is indistinguishable in content from a fresh computation.  The
+file is read once per ``ResultCache`` and lookups are answered from memory.
 """
 
 from __future__ import annotations
@@ -51,28 +51,24 @@ class ResultCache:
 
     The first ``get`` opens the file for append, creating it and its
     parents as ``put`` does, so an unusable path raises ``OSError`` before
-    any search; it reads and checks the file then, once.  Every lookup is
-    answered from an in-memory index, and every ``get`` repeats the
-    warnings for the discarded lines.  Lines another process appends after
-    that first ``get`` are not seen by this instance: those spaces are
-    recomputed, never served wrong.
+    any search; it reads and checks the file then, once, warning once for
+    each discarded line.  Every lookup is answered from an in-memory index.
+    Lines another process appends after that first ``get`` are not seen by
+    this instance: those spaces are recomputed, never served wrong.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._index: dict[tuple, ExtremeRecord] | None = None  # loaded by the first get
-        self._discarded: list[str] = []
 
     def get(self, space: SearchSpace) -> ExtremeRecord | None:
         """Latest stored record for this space, or None on a miss."""
         if self._index is None:
             self._load()
-        for message in self._discarded:
-            warnings.warn(message, CacheWarning, stacklevel=2)
         return self._index.get(_slot(space))
 
     def _load(self) -> None:
-        self._index = {}
+        index = {}  # kept once the whole file is read: a warning raised as an error reloads
         # Append mode, as put uses, so an unusable path fails before a search.
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # surrogateescape keeps text mode's lines; a byte that is not UTF-8 then
@@ -91,10 +87,11 @@ class ResultCache:
                     if _key(record) != key:
                         raise ValueError(f"record for {_key(record)} stored under {key}")
                 except (ValueError, LookupError, TypeError) as exc:
-                    self._discarded.append(
-                        f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}")
+                    warnings.warn(f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
+                                  CacheWarning, stacklevel=3)  # get's caller
                     continue
-                self._index[_slot(record)] = record
+                index[_slot(record)] = record
+        self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -185,8 +185,8 @@ def _run_verify_bounds(config: RunConfig) -> Output:
         lines.append(f"{side} {text} ({bound.status}, {bound.formula}){note}: {verdict}")
     if report.proven_violation:
         lines.append("PROVEN BOUND VIOLATED -- implementation bug; witnesses:")
-        witnesses = (record.min_sites
-                     if report.lower_verdict == "VIOLATED" else record.max_sites)
+        witnesses = (record.min_sites if report.lower.status == "proven"
+                     and report.lower_verdict == "VIOLATED" else record.max_sites)
         lines += _site_lines(witnesses[:10])
     return Output(result, ["side", "formula", "status", "bound", "extreme", "verdict"],
                   rows, lines, EXIT_BUG if report.proven_violation else EXIT_OK)

@@ -14,9 +14,9 @@ prefix bound K >= 0.  Three evaluation routes are provided:
   0 <= K <= m-1, with cost O(2^n) independent of K.
 * ``eval_closed_all_k`` -- every K in [0, m-1] by inner-term rotation, O(n*m).
 
-All arithmetic is exact.  Instances whose worst-case intermediates would
-not fit in a signed 64-bit word are rejected up front instead of being
-allowed to grow silently.
+All arithmetic is exact.  ``Instance`` is the one check of a triple, which
+every evaluator takes or builds; it also rejects, up front, a triple whose
+worst-case intermediates would not fit in a signed 64-bit word.
 """
 
 from __future__ import annotations
@@ -94,17 +94,10 @@ def inner_term(m: int, a: Sequence[int], k: int) -> int:
     """The alternating subset-floor sum at a single k.
 
     For n=2 this is Jacobsthal's f_m({a1,a2}, k).  Summing it over
-    k = 0..K gives S_m(A, K).
+    k = 0..K gives S_m(A, K).  The arguments are checked as ``Instance`` checks them.
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    values = tuple(a)
-    if not values or min(values) < 0:
-        raise DomainError("the multiset must be nonempty with elements >= 0")
-    _check_width(m, values, k)
-    return sum(sg * ((k + s) // m) for sg, s in _signed_subset_sums(values))
+    inst = Instance(m, a, k)
+    return sum(sg * ((k + s) // m) for sg, s in _signed_subset_sums(inst.a))
 
 
 def eval_direct(inst: Instance) -> int:
@@ -148,17 +141,12 @@ def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
     S_m(A, K) = f_A(0) + ... + f_A(K) are then the prefix sums.  Each
     step sums to 0 over a period, hence S_m(A, m-1) = 0 for n >= 2.
 
-    Requires 0 <= a_i <= m-1; O(n*m) for all K.
+    Checked as ``Instance(m, a, m - 1)``; requires 0 <= a_i <= m-1; O(n*m) for all K.
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    values = tuple(a)
-    if not values:
-        raise DomainError("the multiset must contain at least one element")
-    if min(values) < 0 or max(values) > m - 1:
+    inst = Instance(m, a, m - 1)
+    if not inst.is_bounded:
         raise DomainError("eval_closed_all_k requires 0 <= a_i <= m-1")
-    _check_width(m, values, m - 1)
-    first, *rest = values
+    first, *rest = inst.a
     f = [0] * (m - first) + [1] * first
     for b in rest:
         f = [x - y for x, y in zip(f[b:] + f[:b], f)]

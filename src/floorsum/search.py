@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
-from .core import eval_closed_all_k
+from .core import Instance, eval_closed_all_k
 from .exceptions import DomainError
 
 Site = tuple[tuple[int, ...], int]
@@ -40,7 +40,8 @@ _POOL_MIN_CELLS = 1_000_000
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Search parameters: arity, modulus, K subrange and site cap."""
+    """Search parameters: arity, modulus, K subrange and site cap.  A space whose
+    widest cell overflows 64 bits raises ``InstanceTooLargeError`` on construction."""
 
     n: int
     m: int
@@ -59,6 +60,7 @@ class SearchSpace:
         if not 0 <= lo <= hi <= self.m - 1:
             raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {self.m - 1}, got {k_range}")
         object.__setattr__(self, "k_range", (lo, hi))
+        Instance(self.m, (self.m - 1,) * self.n, self.m - 1)  # the widest cell
 
     @property
     def multiset_count(self) -> int:
@@ -122,13 +124,13 @@ class _Side:
 
     __slots__ = ("pick", "cap", "value", "sites", "count")
 
-    def __init__(self, pick, cap: int, value: int | None = None):
+    def __init__(self, pick, cap: int, value: int):
         self.pick, self.cap = pick, cap
         self.value, self.sites, self.count = value, [], 0
 
     def admits(self, value: int) -> bool:
         """Whether ``value`` ties or beats the running extreme."""
-        return self.value is None or self.pick(value, self.value) == value
+        return self.pick(value, self.value) == value
 
     def fold(self, value: int, count: int, sites: Iterable[Site]) -> None:
         """Account ``count`` sites of ``value``; ``sites`` yields them in
@@ -191,8 +193,6 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
         raise DomainError(f"workers must be >= 1, got {workers}")
     n, m = space.n, space.m
     k_lo, k_hi = space.k_range
-    # The first seed, (m-1, ..., m-1), is the widest multiset of the space:
-    # its width check refuses an oversize space once, as it did per multiset.
     # For n = 1 the constants are the whole space, which the walk visits
     # anyway (it prunes only at |P| >= 2), so the first alone seeds it.
     constants = range(m - 1, -1, -1) if n > 1 else (m - 1,)
@@ -201,7 +201,7 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     tasks = [(n, m, first, k_lo, k_hi, space.cap, seed_max, seed_min)
              for first in range(m - 1, -1, -1)]
     workers = min(workers, len(tasks), _available_cpus())
-    sides = (_Side(max, space.cap), _Side(min, space.cap))
+    sides = (_Side(max, space.cap, seed_max), _Side(min, space.cap, seed_min))
 
     def fold(results: Iterable[list[tuple]]) -> None:
         for result in results:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,19 @@ def test_search_refuses_an_oversize_space_once(runner):
         assert result.stdout == "" and result.stderr.endswith(message)
     result = invoke(runner, "search", "--n", "56", "--m", "2")
     assert result.exit_code == 0 and result.stderr == ""
+
+
+def test_oversize_space_exits_before_its_cache_file_is_created(runner, tmp_path):
+    message = ("Error: worst-case intermediate 334107428663027398868992 exceeds 64-bit range "
+               "(n=70, sum(A)=140, K=2)\n")
+    path = tmp_path / "new.jsonl"
+    result = invoke(runner, "search", "--n", "70", "--m", "3", "--cache", str(path))
+    assert result.exit_code == 2 and result.stderr.endswith(message)
+    assert not path.exists()
+    for argv in (["table", "--n", "70", "--m-max", "3"], ["verify-bounds", "--n", "70", "--m", "3"]):
+        result = invoke(runner, *argv, "--cache", str(path))
+        assert result.exit_code == 2 and "worst-case intermediate" in result.stderr, argv
+        assert not path.exists(), argv
 
 
 def test_format_stability(runner):
@@ -349,12 +363,15 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
         doctored = {"key": key, "record": {**mine, "max_value": 999}, "note": "@"}
     with path.open("ab") as handle:
         handle.write(json.dumps(doctored).encode().replace(b"@", b"\xff") + b"\n")
-    for _ in range(2):  # every get repeats the warnings, in line order
-        with pytest.warns(CacheWarning) as caught:
-            assert cache.get(space) == record
-        starts = [f"discarding corrupt cache entry at {path}:{line}: " for line in range(2, 8)]
-        assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
-        assert len(caught) == 6
+    # the first get warns once per discarded line, in line order; later ones are silent
+    with pytest.warns(CacheWarning) as caught:
+        assert cache.get(space) == record
+    starts = [f"discarding corrupt cache entry at {path}:{line}: " for line in range(2, 8)]
+    assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
+    assert len(caught) == 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.get(space) == record
 
 
 def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path):
@@ -393,6 +410,26 @@ def test_cache_file_is_parsed_once_per_instance(monkeypatch, tmp_path):
     assert len(parsed) == 8  # the file's lines, not m_max times them
 
 
+def test_cache_warning_raised_as_an_error_loads_nothing(tmp_path):
+    # a record, a bad line, then a later record for the same key: a load the
+    # warning interrupts must not serve the earlier, superseded record
+    path = tmp_path / "cache.jsonl"
+    space = SearchSpace(2, 6)
+    record = extremes(space)
+    ResultCache(path).put(space, record)
+    with path.open("a") as handle:
+        handle.write("{ not json at all\n")
+    ResultCache(path).put(space, ExtremeRecord.from_dict({**record.to_dict(), "max_value": 999}))
+    cache = ResultCache(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(CacheWarning):
+                cache.get(space)
+    with pytest.warns(CacheWarning):
+        assert cache.get(space).max_value == 999
+
+
 def test_cache_truncated_file_recomputes(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
@@ -400,9 +437,12 @@ def test_cache_truncated_file_recomputes(tmp_path):
     cache.put(space, extremes(space))
     content = path.read_text()
     path.write_text(content[: len(content) // 2])  # chop mid-record
-    with pytest.warns(CacheWarning):
+    with pytest.warns(CacheWarning) as caught:
         assert cache.get(space) is None
-    with pytest.warns(CacheWarning):  # every get repeats the discarded line's warning
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(f"discarding corrupt cache entry at {path}:1: ")
+    with warnings.catch_warnings():  # the discarded line is warned once, on the first get
+        warnings.simplefilter("error")
         assert cached_extremes(space, cache=cache) == extremes(space)
 
 
@@ -519,6 +559,18 @@ def test_proven_bound_violation_is_fatal(runner, tmp_path):
     assert result.exit_code == 3
     assert "VIOLATED" in result.output and "witnesses" in result.output
     assert "A=" in result.output  # the witnessing (A, K) is printed
+
+
+def test_violation_witnesses_come_from_the_proven_side(runner, tmp_path):
+    # at (4, 12) the upper bound is proven and the lower one conjectured:
+    # breaking both must list the max sites, not the conjectured side's min sites
+    space = SearchSpace(4, 12)
+    path = _poison(tmp_path, space, max_value=100, min_value=-100)
+    result = invoke(runner, "verify-bounds", "--n", "4", "--m", "12", "--cache", path)
+    assert result.exit_code == 3
+    record = extremes(space)
+    witnesses = result.stdout.split("witnesses:\n")[1].splitlines()
+    assert witnesses == [f"  A={','.join(map(str, a))} K={k}" for a, k in record.max_sites[:10]]
 
 
 def test_conjecture_failure_is_reported_not_fatal(runner, tmp_path):

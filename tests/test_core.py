@@ -114,6 +114,25 @@ def test_oversized_instances_are_rejected():
         inner_term(1, (2**61,) * 4, 2**61)
 
 
+@pytest.mark.parametrize("m, a, k, error", [
+    (0, (1,), -1, DomainError),  # modulus
+    (5, (), 4, DomainError),  # empty multiset
+    (5, (3, -1), 4, DomainError),  # negative element
+    (5, (3,), -1, DomainError),  # negative prefix bound
+    (2, (1,) * 70, 1, InstanceTooLargeError),  # worst case beyond 64 bits
+])
+def test_every_evaluator_rejects_a_bad_triple_as_instance_does(m, a, k, error):
+    with pytest.raises(error) as expected:
+        Instance(m, a, k)
+    evaluators = [lambda: inner_term(m, a, k)]
+    if k == m - 1:  # the sweep checks the triple at K = m-1
+        evaluators.append(lambda: eval_closed_all_k(m, a))
+    for evaluate in evaluators:
+        with pytest.raises(error) as raised:
+            evaluate()
+        assert str(raised.value) == str(expected.value)
+
+
 # ------------------------------------------------------------- properties
 
 

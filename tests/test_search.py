@@ -10,6 +10,7 @@ from floorsum import (
     DomainError,
     ExtremeRecord,
     Instance,
+    InstanceTooLargeError,
     SearchSpace,
     eval_closed,
     eval_direct,
@@ -56,6 +57,15 @@ def test_search_space_validation():
         SearchSpace(3, 7, (0, 7))
     with pytest.raises(DomainError):
         SearchSpace(3, 7, cap=0)
+
+
+def test_search_space_refuses_a_space_whose_widest_cell_overflows():
+    # the widest cell is (m-1, ..., m-1) at K = m-1, checked as Instance checks it
+    with pytest.raises(InstanceTooLargeError, match=r"\(n=70, sum\(A\)=140, K=2\)$"):
+        SearchSpace(70, 3)
+    with pytest.raises(InstanceTooLargeError):
+        SearchSpace(57, 2)
+    assert SearchSpace(56, 2).k_range == (0, 1)
 
 
 def test_extremes_known_values():
