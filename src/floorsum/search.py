@@ -8,18 +8,31 @@ prefixes depth first, in enumeration order.  One fold keeps the running
 extremes inside a task and across task results, which are folded in
 enumeration order whatever the worker count.
 
-Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, so with S_P(-1) = 0,
-S_{P+b}(K) = S_P(K+b) - S_P(K) - S_P(b-1) maps a period range [L, U] into
-[L-2U, U-2L].  A subtree is skipped when that map, iterated once per element
-still to add, puts it strictly inside the running extremes (a tie adds a count
-and a site).  These start at seeds, the best cells of the constant multisets:
-real cells, so every cell that ties or beats an extreme is still visited.
+Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, with S_P(-1) = 0;
+let [L, U] be its range over one period.  Two bounds hold for every completion
+P+B by r more elements.  First, S_{P+b}(K) = S_P(K+b) - S_P(K) - S_P(b-1) maps
+[L, U] into [L-2U, U-2L], and r such maps bound S_{P+B}.  Second, with s_T
+the sum of a subset T of B,
+
+    S_{P+B}(K) = sum_{T subseteq B} (-1)^(r-|T|) [S_P(K+s_T) - S_P(s_T-1)],
+
+since f_{P+B}(k) = sum_T (-1)^(r-|T|) f_P(k+s_T) and S_P(K+s) - S_P(s-1) sums
+f_P(k+s) over k = 0..K.  Each bracket lies in [L-U, U-L], so
+|S_{P+B}(K)| <= 2^r (U-L).  As L <= 0 <= U, r maps give the interval
+[-(3^r (U-L) - (-1)^r (U+L))/2, (3^r (U-L) + (-1)^r (U+L))/2], whose ends
+have size at least (3^r - 1)(U-L)/2 >= 2^r (U-L) once r >= 2; so the map
+is the tighter bound only at r = 1, and the 2^r bound beyond.  A subtree is
+skipped when its bound puts it strictly inside the running extremes (a tie
+adds a count and a site).  These start at seeds, the best cells of the near-constant
+multisets c^j (c-1)^(n-j): real cells, so every cell that ties or beats an
+extreme is still visited.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, fields
 from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
@@ -31,11 +44,10 @@ Site = tuple[tuple[int, ...], int]
 
 DEFAULT_CAP = 1000
 
-# A space of fewer cells (multisets x m) runs in process at any worker count:
-# below it a second worker was never faster (README, measured on 2 cores).
-# The walk sweeps a full period at every node, so cells bound its work from
-# above and the threshold can only err towards starting a pool.
-_POOL_MIN_CELLS = 1_000_000
+# Seconds a search runs in process before its remaining tasks go to a pool:
+# a pool costs about 50 ms to start (README, measured on 2 cores), so only a
+# search that has already run several times that long is worth one.
+_POOL_AFTER_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -161,11 +173,14 @@ def _task(args: tuple[int, ...]) -> list[tuple]:
                     side.fold(best, values.count(best),
                               ((a, k) for k, v in enumerate(values, k_lo) if v == best))
             return
-        if len(a) >= 2:  # the bound of the module docstring
+        if len(a) >= 2:  # the bounds of the module docstring
             s = list(accumulate(f))
             lo, hi = min(s), max(s)
-            for _ in range(left):
+            if left == 1:
                 lo, hi = lo - 2 * hi, hi - 2 * lo
+            else:
+                hi = (hi - lo) << left
+                lo = -hi
             if hi < high.value and lo > low.value:
                 return
         for b in range(a[-1], -1, -1):
@@ -185,22 +200,25 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     There is one task per largest element, m-1 down to 0, which is
     enumeration order; every task starts from the same seeds, and task
     results are folded in that order, so the record is identical for any
-    worker count.  A space of fewer than ``_POOL_MIN_CELLS`` (10^6) cells
-    runs in process whatever ``workers`` says; a larger one with
-    ``workers > 1`` gets a pool capped at the tasks and the usable CPUs.
+    worker count.  Tasks run in process, in order.  With ``workers > 1``,
+    once a task ends ``_POOL_AFTER_S`` (0.2 s) or more after the search
+    began, the tasks left go to a pool capped at their number and at the
+    usable CPUs, if that leaves it two workers or more.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    start = time.perf_counter()
     n, m = space.n, space.m
     k_lo, k_hi = space.k_range
-    # For n = 1 the constants are the whole space, which the walk visits
+    # For n = 1 every multiset is a constant, and the walk visits them all
     # anyway (it prunes only at |P| >= 2), so the first alone seeds it.
-    constants = range(m - 1, -1, -1) if n > 1 else (m - 1,)
-    seeds = [eval_closed_all_k(m, (c,) * n)[k_lo: k_hi + 1] for c in constants]
+    near_constant = ([(c,) * j + (c - 1,) * (n - j) for c in range(m - 1, 0, -1)
+                      for j in range(n, 0, -1)] + [(0,) * n]) if n > 1 else [(m - 1,)]
+    seeds = [eval_closed_all_k(m, a)[k_lo: k_hi + 1] for a in near_constant]
     seed_max, seed_min = max(map(max, seeds)), min(map(min, seeds))
     tasks = [(n, m, first, k_lo, k_hi, space.cap, seed_max, seed_min)
              for first in range(m - 1, -1, -1)]
-    workers = min(workers, len(tasks), _available_cpus())
+    workers = min(workers, _available_cpus())
     sides = (_Side(max, space.cap, seed_max), _Side(min, space.cap, seed_min))
 
     def fold(results: Iterable[list[tuple]]) -> None:
@@ -208,16 +226,18 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
             for side, (value, count, sites) in zip(sides, result):
                 side.fold(value, count, sites)
 
-    if workers > 1 and space.multiset_count * m >= _POOL_MIN_CELLS:
-        import multiprocessing  # here, so a process that never needs a pool never pays its import
-        import signal
-        # Workers ignore SIGINT: on Ctrl-C the parent alone raises, and leaving
-        # the ``with`` terminates them without a traceback from each.
-        with multiprocessing.Pool(workers, initializer=signal.signal,
-                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            fold(pool.imap(_task, tasks, chunksize=1))
-    else:
-        fold(map(_task, tasks))
+    for done, task in enumerate(tasks):
+        pool_size = min(workers, len(tasks) - done)
+        if done and pool_size > 1 and time.perf_counter() - start >= _POOL_AFTER_S:
+            import multiprocessing  # here, so a process that never needs a pool never pays its import
+            import signal
+            # Workers ignore SIGINT: on Ctrl-C the parent alone raises, and leaving
+            # the ``with`` terminates them without a traceback from each.
+            with multiprocessing.Pool(pool_size, initializer=signal.signal,
+                                      initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+                fold(pool.imap(_task, tasks[done:], chunksize=1))
+            break
+        fold([_task(task)])
     top, bottom = sides
     return ExtremeRecord(
         n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,

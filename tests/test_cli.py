@@ -499,9 +499,9 @@ def test_cli_refuses_an_unusable_cache_path(runner, tmp_path, monkeypatch):
     assert blocker.read_text() == ""
 
 
-def test_table_below_the_cell_threshold_starts_no_pool(runner, monkeypatch):
+def test_a_table_of_quick_searches_starts_no_pool(runner, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("started a pool below the cell threshold")
+        raise AssertionError("started a pool for a search that ends before the limit")
 
     serial = invoke(runner, "table", "--n", "4", "--m-max", "10", "--workers", "1")
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
@@ -517,13 +517,15 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert out.stdout == "False\n"
 
 
-# n = 12, m = 20 searches for 7-8 s at --workers 1 or 2 on a 2-core host, so a
-# signal 2 s after the start reaches it mid-search, after the pool has started.
+# n = 14, m = 28 searches for about 8 s at --workers 1 and 5 s at 2 on a 2-core
+# host, so a signal 2 s after the start reaches it mid-search; at --workers 2
+# the pool has started by then (after about 1 s, when a task first ends past
+# the in-process limit).
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_ctrl_c_prints_only_aborted(workers):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "floorsum.cli", "search", "--n", "12", "--m", "20",
+        [sys.executable, "-m", "floorsum.cli", "search", "--n", "14", "--m", "28",
          "--workers", workers],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,

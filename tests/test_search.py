@@ -1,8 +1,10 @@
 """Search engine tests: enumeration, extremes, determinism, pruning."""
 
+import functools
 import math
 import multiprocessing
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,9 +102,9 @@ def test_terminal_k_contributes_only_zero():
 
 def test_determinism_across_worker_counts(monkeypatch):
     # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
-    # truncate site lists that span several tasks; these small spaces go
-    # through the pool only with the cell threshold at 0
-    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)
+    # truncate site lists that span several tasks; these small spaces send
+    # their tasks after the first to the pool only with the time limit at 0
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
               SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
               SearchSpace(3, 8, (2, 5), cap=2)]
@@ -126,7 +128,7 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
                 expected = replace(full, cap=cap, max_sites=full.max_sites[:cap],
                                    min_sites=full.min_sites[:cap])
                 assert extremes(SearchSpace(n, m, k_range, cap)) == expected, (n, m, k_range, cap)
-    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)  # so workers 2 and 3 start a pool
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)  # so workers 2 and 3 start a pool
     for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
         expected = reference_extremes(space)
         for w in (2, 3):
@@ -135,15 +137,20 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
 
 def test_constant_seeds_sweep_once_per_space(monkeypatch):
     # n = 1: the constants are the whole space, which the walk visits anyway,
-    # so only the first, (m-1,), is swept; n >= 2 sweeps all m constants
+    # so only the first, (m-1,), is swept; n >= 2 sweeps each near-constant
+    # multiset c^j (c-1)^(n-j) once: n(m-1)+1 of them, the m constants included
     calls = []
     sweep = search.eval_closed_all_k
     monkeypatch.setattr(search, "eval_closed_all_k", lambda m, a: calls.append(a) or sweep(m, a))
-    for n, m in [(1, 1), (1, 2), (1, 5), (1, 30), (2, 5), (3, 7), (4, 1)]:
+    for n, m in [(1, 1), (1, 2), (1, 5), (1, 30), (2, 1), (2, 5), (3, 7), (4, 1), (4, 6)]:
         calls.clear()
         assert extremes(SearchSpace(n, m)) == reference_extremes(SearchSpace(n, m)), (n, m)
-        constants = [(c,) * n for c in range(m - 1, -1, -1)]
-        assert calls == (constants if n > 1 else constants[:1]), (n, m)
+        if n == 1:
+            assert calls == [(m - 1,)], m
+            continue
+        family = {a for a in enumerate_multisets(n, m) if a[0] - a[-1] <= 1}
+        assert len(calls) == len(set(calls)) == n * (m - 1) + 1, (n, m)
+        assert set(calls) == family, (n, m)
 
 
 def test_prune_bound_holds_for_every_completion():
@@ -161,9 +168,34 @@ def test_prune_bound_holds_for_every_completion():
                     assert lo <= min(values) and max(values) <= hi, (m, a, size)
 
 
-def fake_pool(monkeypatch) -> list[int]:
+def test_subset_expansion_bound_holds_for_every_completion():
+    # S_P over one period spans [lo, hi]; after r more elements every S value
+    # lies in [-2^r (hi - lo), 2^r (hi - lo)], the bound of the search module
+    # docstring, which for r >= 2 lies inside r steps of the map above
+    @functools.cache
+    def values(m, a):
+        return [eval_direct(Instance(m, a, k)) for k in range(m)]
+
+    pairs = 0
+    for m in range(1, 11):
+        for n in range(3, 6):
+            for a in enumerate_multisets(n, m):
+                for size in range(2, n):
+                    prefix = values(m, a[:size])
+                    lo, hi = min(prefix), max(prefix)
+                    width = (hi - lo) << (n - size)
+                    assert -width <= min(values(m, a)) and max(values(m, a)) <= width, (m, a, size)
+                    for _ in range(n - size):
+                        lo, hi = lo - 2 * hi, hi - 2 * lo
+                    assert n - size == 1 or lo <= -width <= width <= hi, (m, a, size)
+                    pairs += 1
+    assert pairs == 19_734
+
+
+def fake_pool(monkeypatch, received=None) -> list[int]:
     """Patch ``multiprocessing.Pool`` with a fake that runs the tasks in
-    process; return the list it appends each requested pool size to."""
+    process; return the list it appends each requested pool size to, and
+    append the largest element of each task it is given to ``received``."""
     requested = []
 
     class FakePool:
@@ -177,7 +209,10 @@ def fake_pool(monkeypatch) -> list[int]:
             return False
 
         def imap(self, func, iterable, chunksize=1):
-            return map(func, iterable)
+            tasks = list(iterable)
+            if received is not None:
+                received.extend(task[2] for task in tasks)
+            return map(func, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     return requested
@@ -185,7 +220,7 @@ def fake_pool(monkeypatch) -> list[int]:
 
 def test_pool_is_capped_at_the_available_cpus(monkeypatch):
     requested = fake_pool(monkeypatch)
-    monkeypatch.setattr(search, "_POOL_MIN_CELLS", 0)  # the spaces below are small
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)  # the spaces below are small
     space = SearchSpace(3, 9, cap=2)
     expected = extremes(space, workers=1)
     assert extremes(space, workers=10_000) == expected
@@ -193,29 +228,71 @@ def test_pool_is_capped_at_the_available_cpus(monkeypatch):
     monkeypatch.setattr(search, "_available_cpus", lambda: 3)
     assert extremes(space, workers=10_000) == expected
     assert requested[-1] == 3
+    assert extremes(SearchSpace(3, 3), workers=10_000) == extremes(SearchSpace(3, 3))
+    assert requested[-1] == 2  # two tasks left after the first
+    count = len(requested)
     assert extremes(SearchSpace(3, 2), workers=10_000) == extremes(SearchSpace(3, 2))
-    assert requested[-1] == 2  # two tasks
+    assert len(requested) == count  # one task left after the first: no pool of one
 
 
-def test_spaces_below_the_cell_threshold_run_in_process(monkeypatch):
+def test_at_a_zero_limit_the_pool_takes_every_task_after_the_first(monkeypatch):
+    received = []
+    requested = fake_pool(monkeypatch, received)
+    monkeypatch.setattr(search, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    space = SearchSpace(4, 9, cap=2)
+    assert extremes(space, workers=2) == reference_extremes(space)
+    assert requested == [2]
+    assert received == list(range(7, -1, -1))  # tasks run from m-1 down to 0
+
+
+def test_the_pool_starts_once_a_task_ends_at_the_limit(monkeypatch):
+    # a fake clock: the search starts at 0, and each reading after a task is the next tick
+    def clock(ticks):
+        readings = iter([0.0, *ticks])
+        monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
+
+    received = []
+    requested = fake_pool(monkeypatch, received)
+    monkeypatch.setattr(search, "_available_cpus", lambda: 2)
+    space = SearchSpace(3, 6)
+    expected = reference_extremes(space)
+    limit = search._POOL_AFTER_S
+    clock([limit / 2, limit * 0.99, limit])
+    assert extremes(space, workers=2) == expected
+    assert (requested, received) == ([2], [2, 1, 0])  # after the third of six tasks
+    clock([limit * 0.99] * 5)  # a search that ends before the limit starts no pool
+    assert extremes(space, workers=2) == expected
+    assert requested == [2]
+
+
+def test_a_quick_search_runs_in_process_at_two_workers(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("started a pool below the cell threshold")
+        raise AssertionError("started a pool for a search that ends before the limit")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    space = SearchSpace(4, 14)  # 2380 multisets x 14 = 33,320 cells
+    space = SearchSpace(4, 14)  # a few ms, far below the 0.2 s limit
     assert extremes(space, workers=2) == extremes(space, workers=1)
 
 
-def test_a_space_at_the_cell_threshold_starts_one_pool(monkeypatch):
-    # n = 1 has m multisets, so m * m cells: 999^2 < 10^6 <= 1000^2
-    requested = fake_pool(monkeypatch)
-    monkeypatch.setattr(search, "_available_cpus", lambda: 2)
-    assert search._POOL_MIN_CELLS == 1000 * 1000
-    below, at = SearchSpace(1, 999), SearchSpace(1, 1000)
-    assert extremes(below, workers=2) == extremes(below, workers=1)
-    assert requested == []
-    assert extremes(at, workers=2) == extremes(at, workers=1)
-    assert requested == [2]
+# Records of shapes beyond the oracle's reach, as the walk without the 2^r
+# bound and near-constant seeds found them: (n, m): (max, min, max count,
+# min count, first max site, first min site).
+FRONTIER_RECORDS = {
+    (9, 20): (720, -1280, 2, 1, ((12,) * 9, 11), ((10,) * 9, 9)),
+    (10, 18): (2304, -1164, 1, 8, ((9,) * 10, 8), ((11,) * 6 + (10,) * 4, 9)),
+    (12, 14): (7168, -4396, 1, 2, ((7,) * 12, 6), ((8,) * 12, 7)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FRONTIER_RECORDS))
+def test_frontier_records_are_pinned(shape):
+    record = extremes(SearchSpace(*shape))
+    assert (record.max_value, record.min_value, record.max_count, record.min_count,
+            record.max_sites[0], record.min_sites[0]) == FRONTIER_RECORDS[shape]
+    (a, k), (b, j) = record.max_sites[0], record.min_sites[0]
+    assert eval_direct(Instance(shape[1], a, k)) == record.max_value
+    assert eval_direct(Instance(shape[1], b, j)) == record.min_value
 
 
 def test_site_cap_truncates_but_keeps_counts():
