@@ -21,6 +21,7 @@ arithmetic; 3 on a proven-bound violation or case-table mismatch
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -33,7 +34,7 @@ import click
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, eval_closed
+from .core import Instance, eval_closed, eval_closed_all_k
 from .exceptions import (
     DivisibilityError,
     DomainError,
@@ -41,7 +42,7 @@ from .exceptions import (
     TableViolationError,
 )
 from .search import DEFAULT_CAP, SearchSpace
-from .symmetry import delta
+from .symmetry import CASE_VALUES, delta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -244,17 +245,35 @@ _SCAN_HEADER = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"
 
 
 def _scan_one_m(m: int) -> dict:
-    scan = dict.fromkeys(_SCAN_HEADER, 0)
-    scan["m"] = m
+    """Case counts of every ``delta(m, a1, a2, k)`` cell, from all-K sweeps.
+
+    One ``eval_closed_all_k`` sweep per pair gives S({a1, a2}, K) at every
+    K, and S({a1+1, a2}, K-1) is read from the sweep of ((a1+1) mod m, a2):
+    for n >= 2 only residues matter (see ``symmetry``), so a1 = m-1 reads
+    the all-zero sweep of a1 = 0.  Each cell is classified as ``delta``
+    classifies it and checked against ``CASE_VALUES``.  On a mismatch the
+    cell is recomputed by ``delta``, which raises its own
+    ``TableViolationError``; if it does not, the two routes disagree, and
+    that is raised naming both values.
+    """
+    sweeps = [[eval_closed_all_k(m, (a1, a2)) for a2 in range(m)] for a1 in range(m)]
+    counts = [0] * 5  # by case id; index 0 unused
+    sorted_case2 = 0
     for a1 in range(m):
         for a2 in range(m):
+            here, shifted = sweeps[a1][a2], sweeps[(a1 + 1) % m][a2]
+            cond_sum = a1 + a2 >= m
             for k in range(1, m // 2):
-                case_id = delta(m, a1, a2, k).case.case_id
-                scan["cells"] += 1
-                scan[f"case{case_id}"] += 1
-                if a1 >= a2 and case_id == 2:
-                    scan["sorted_case2"] += 1
-    return scan
+                case_id = 1 + (a2 + k - m + 1 > 0) + 2 * cond_sum
+                value = here[k] - shifted[k - 1]
+                if value != CASE_VALUES[case_id]:
+                    record = delta(m, a1, a2, k)
+                    raise TableViolationError(
+                        f"delta({m}, {a1}, {a2}, {k}): all-K sweeps give {value}, "
+                        f"delta gives {record.value}")
+                counts[case_id] += 1
+                sorted_case2 += a1 >= a2 and case_id == 2
+    return dict(zip(_SCAN_HEADER, [m, sum(counts), *counts[1:], sorted_case2]))
 
 
 def _run_delta_scan(config: RunConfig) -> Output:
@@ -424,6 +443,9 @@ def delta_scan_cmd(**params) -> None:
 
 
 def main() -> None:
+    # Everything imported so far lives until exit: later collections and the
+    # interpreter's teardown then skip it.
+    gc.freeze()
     cli()
 
 

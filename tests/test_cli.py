@@ -22,7 +22,10 @@ from floorsum import (
     extremes,
     sequence_table,
 )
+import floorsum.cli
 from floorsum.cli import RunConfig, cli, run
+from floorsum.core import eval_closed_all_k
+from floorsum.symmetry import CASE_VALUES, delta
 
 
 @pytest.fixture
@@ -231,6 +234,45 @@ def test_delta_scan_single_m(runner):
 def test_delta_scan_flag_validation(runner):
     assert invoke(runner, "delta-scan").exit_code == 2
     assert invoke(runner, "delta-scan", "--m", "5", "--m-max", "6").exit_code == 2
+
+
+def test_delta_scan_matches_delta_cell_by_cell():
+    code, text = run(RunConfig("delta-scan", m_max=16, fmt="json"))
+    expected = []
+    for m in range(1, 17):
+        scan = dict.fromkeys(["cells", "case1", "case2", "case3", "case4", "sorted_case2"], 0)
+        scan["m"] = m
+        for a1 in range(m):
+            for a2 in range(m):
+                for k in range(1, m // 2):
+                    case_id = delta(m, a1, a2, k).case.case_id
+                    scan["cells"] += 1
+                    scan[f"case{case_id}"] += 1
+                    scan["sorted_case2"] += a1 >= a2 and case_id == 2
+        expected.append(scan)
+    assert code == 0 and json.loads(text)["result"]["scans"] == expected
+
+
+def test_delta_scan_reports_delta_own_violation(runner, monkeypatch):
+    monkeypatch.setitem(CASE_VALUES, 3, 0)
+    result = runner.invoke(cli, ["delta-scan", "--m", "6"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr == ("TABLE VIOLATION (implementation bug): "
+                             "delta(6, 2, 4, 1) = 1 but case 3 requires 0\n")
+
+
+def test_delta_scan_reports_a_sweep_that_disagrees_with_delta(runner, monkeypatch):
+    def off_by_one(m, a):  # wrong at every K of the pair {2, 1}
+        values = eval_closed_all_k(m, a)
+        return [v + 1 for v in values] if sorted(a) == [1, 2] else values
+
+    monkeypatch.setattr(floorsum.cli, "eval_closed_all_k", off_by_one)
+    result = runner.invoke(cli, ["delta-scan", "--m", "6"])
+    # The first cell to read the pair is (0, 2, 1), as {a1 + 1, a2} = {1, 2} at K - 1.
+    true_value = delta(6, 0, 2, 1).value
+    assert result.exit_code == 3
+    assert result.stderr == ("TABLE VIOLATION (implementation bug): delta(6, 0, 2, 1): "
+                             f"all-K sweeps give {true_value - 1}, delta gives {true_value}\n")
 
 
 # ------------------------------------------------------- several bad flags
@@ -515,6 +557,27 @@ def test_importing_the_cli_does_not_import_multiprocessing():
         [sys.executable, "-c", "import floorsum.cli, sys; print('multiprocessing' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+# Only the process entry point freezes the GC; a library caller's heap is its own.
+FREEZE_PROBES = [
+    ("import gc, floorsum, floorsum.cli\n"
+     "floorsum.cli.run(floorsum.cli.RunConfig('eval', m=5, a=(3, 2), k=1))\n"
+     "print(gc.get_freeze_count() == 0)", "True\n"),
+    ("import atexit, gc, sys\n"
+     "from floorsum import cli\n"
+     "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+     "sys.argv = ['floorsum', '--version']\n"
+     "cli.main()", f"floorsum, version {floorsum.__version__}\nTrue\n"),
+]
+
+
+@pytest.mark.parametrize("code, stdout", FREEZE_PROBES, ids=["library", "entry-point"])
+def test_only_main_freezes_the_gc(code, stdout):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == stdout
 
 
 # n = 14, m = 28 searches for about 8 s at --workers 1 and 5 s at 2 on a 2-core
