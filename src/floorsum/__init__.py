@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .cache import CacheWarning, ResultCache, cached_extremes, sequence_table
 from .conjecture import (
     Bound,
-    BoundSpec,
     BoundsReport,
     ConjectureReport,
     PredictedSite,
@@ -42,7 +41,6 @@ from .symmetry import (
     CASE_VALUES,
     BoxRecord,
     CaseBConditions,
-    DeltaCase,
     DeltaRecord,
     box,
     case_b_conditions,
@@ -53,14 +51,12 @@ from .symmetry import (
 __all__ = [
     "__version__",
     "Bound",
-    "BoundSpec",
     "BoundsReport",
     "BoxRecord",
     "CASE_VALUES",
     "CacheWarning",
     "CaseBConditions",
     "ConjectureReport",
-    "DeltaCase",
     "DeltaRecord",
     "DivisibilityError",
     "DomainError",

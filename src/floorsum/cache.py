@@ -4,8 +4,9 @@ One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
 not decode or parse, do not round-trip into an ExtremeRecord of plain
 ints, or hold a record for another space than their key, are discarded
 with one warning each when the file is read, and the search reruns; a
-cached hit is indistinguishable in content from a fresh computation.  The
-file is read once per ``ResultCache`` and lookups are answered from memory.
+cached hit is indistinguishable in content from a fresh computation.
+``put`` refuses such a record before writing it.  The file is read once
+per ``ResultCache`` and lookups are answered from memory.
 """
 
 from __future__ import annotations
@@ -37,13 +38,17 @@ def _slot(space: SearchSpace | ExtremeRecord) -> tuple:
     return tuple(_key(space).values())
 
 
-def _plain_ints(record: ExtremeRecord) -> bool:
-    """Whether k_range is a pair and every number a plain int, as a fresh run stores."""
+def _check(record: ExtremeRecord, key: dict) -> None:
+    """Raise DomainError unless ``record`` is what a fresh run stores under ``key``:
+    k_range a pair, every number a plain int, and the record's own key ``key``."""
     sites = record.max_sites + record.min_sites
     numbers = (record.n, record.m, record.cap, record.max_value, record.min_value,
                record.max_count, record.min_count, *record.k_range,
                *(k for _, k in sites), *(v for a, _ in sites for v in a))
-    return len(record.k_range) == 2 and all(type(v) is int for v in numbers)
+    if len(record.k_range) != 2 or any(type(v) is not int for v in numbers):
+        raise DomainError("k_range is not a pair or a field is not an int")
+    if _key(record) != key:
+        raise DomainError(f"record for {_key(record)} stored under {key}")
 
 
 class ResultCache:
@@ -80,12 +85,8 @@ class ResultCache:
                     continue
                 try:
                     entry = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
-                    key = entry["key"]
                     record = ExtremeRecord.from_dict(entry["record"])
-                    if not _plain_ints(record):
-                        raise ValueError("k_range is not a pair or a field is not an int")
-                    if _key(record) != key:
-                        raise ValueError(f"record for {_key(record)} stored under {key}")
+                    _check(record, entry["key"])
                 except (ValueError, LookupError, TypeError) as exc:
                     warnings.warn(f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
                                   CacheWarning, stacklevel=3)  # get's caller
@@ -94,13 +95,16 @@ class ResultCache:
         self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
+        """Append ``record`` under ``space``'s key.  A record that a load would
+        discard raises DomainError, and nothing is written."""
+        key = _key(space)
+        _check(record, key)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": _key(space), "record": record.to_dict()}
+        entry = {"key": key, "record": record.to_dict()}
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        # Index only what a reload would keep: a sound record under its own key.
-        if self._index is not None and _plain_ints(record) and _key(record) == entry["key"]:
-            self._index[_slot(record)] = record
+        if self._index is not None:
+            self._index[_slot(space)] = record
 
 
 def cached_extremes(space: SearchSpace, workers: int = 1,

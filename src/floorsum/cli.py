@@ -186,9 +186,7 @@ def _run_verify_bounds(config: RunConfig) -> Output:
         lines.append(f"{side} {text} ({bound.status}, {bound.formula}){note}: {verdict}")
     if report.proven_violation:
         lines.append("PROVEN BOUND VIOLATED -- implementation bug; witnesses:")
-        witnesses = (record.min_sites if report.lower.status == "proven"
-                     and report.lower_verdict == "VIOLATED" else record.max_sites)
-        lines += _site_lines(witnesses[:10])
+        lines += _site_lines(report.witnesses[:10])
     return Output(result, ["side", "formula", "status", "bound", "extreme", "verdict"],
                   rows, lines, EXIT_BUG if report.proven_violation else EXIT_OK)
 
@@ -211,12 +209,11 @@ def _run_verify_conjecture(config: RunConfig) -> Output:
     rows = [["value", "", "", report.predicted_value, report.search_value, report.value_matches]]
     rows += [["site", _multiset_text(c.site.a), c.site.k, report.search_value, c.value, c.attains]
              for c in checks]
-    mode = "max" if config.n % 2 else "min"
     lines = [
         f"conjecture check at n={config.n}, m={config.m} "
         f"(part {report.part}, block index {report.block_index})",
-        f"predicted {mode} = m*f(n) = {report.predicted_value}; "
-        f"search {mode} = {report.search_value}: "
+        f"predicted {report.side} = m*f(n) = {report.predicted_value}; "
+        f"search {report.side} = {report.search_value}: "
         f"{'MATCH' if report.value_matches else 'MISMATCH'}",
     ]
     lines += [f"site A={_multiset_text(c.site.a)} K={c.site.k}: value {c.value}, "

@@ -26,7 +26,7 @@ from .cache import ResultCache, cached_extremes
 from .core import Instance, eval_closed
 from .exceptions import DivisibilityError, DomainError
 # Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
-from .search import ExtremeRecord, SearchSpace, extremes
+from .search import ExtremeRecord, SearchSpace, Site, extremes
 
 _INITIAL = {
     2: Fraction(0),
@@ -159,16 +159,6 @@ class Bound:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Known lower/upper bounds for S_m at a given arity."""
-
-    n: int
-    m: int
-    lower: Bound
-    upper: Bound
-
-
 _EVEN_M_NOTE = "proof stated under the hypothesis that m is even"
 
 
@@ -183,7 +173,7 @@ def _conjectured_bound(n: int, m: int) -> Bound:
     return Bound(value, "conjectured", "m*f(n)")
 
 
-def known_bounds(n: int, m: int) -> BoundSpec:
+def known_bounds(n: int, m: int) -> tuple[Bound, Bound]:
     """Numeric (lower, upper) bounds with per-side proven/conjectured status.
 
     n = 1..4 use their dedicated closed forms; for n >= 5 the proven
@@ -195,53 +185,61 @@ def known_bounds(n: int, m: int) -> BoundSpec:
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
     if n == 1:
-        return BoundSpec(n, m, Bound(0, "proven", "0"), Bound(m - 1, "proven", "m-1"))
+        return Bound(0, "proven", "0"), Bound(m - 1, "proven", "m-1")
     if n == 2:
-        return BoundSpec(n, m, Bound(0, "proven", "0"), Bound(m // 2, "proven", "floor(m/2)"))
+        return Bound(0, "proven", "0"), Bound(m // 2, "proven", "floor(m/2)")
     if n == 3:
-        return BoundSpec(
-            n, m,
-            Bound(-2 * (m // 2), "proven", "-2*floor(m/2)"),
-            Bound(m // 3, "proven", "floor(m/3)"),
-        )
+        return (Bound(-2 * (m // 2), "proven", "-2*floor(m/2)"),
+                Bound(m // 3, "proven", "floor(m/3)"))
     if n == 4:
-        return BoundSpec(
-            n, m,
-            Bound(-3 * (m // 3), "conjectured", "-3*floor(m/3)"),
-            Bound(4 * (m // 2), "proven", "4*floor(m/2)"),
-        )
+        return (Bound(-3 * (m // 3), "conjectured", "-3*floor(m/3)"),
+                Bound(4 * (m // 2), "proven", "4*floor(m/2)"))
     note = _EVEN_M_NOTE if m % 2 else None
     proven_magnitude = (1 << (n - 2)) * (m // 2)
     if n % 2:  # odd: proven lower, conjectured upper
-        return BoundSpec(
-            n, m,
-            Bound(-proven_magnitude, "proven", "-2^(n-2)*floor(m/2)", note=note),
-            _conjectured_bound(n, m),
-        )
-    return BoundSpec(
-        n, m,
-        _conjectured_bound(n, m),
-        Bound(proven_magnitude, "proven", "2^(n-2)*floor(m/2)", note=note),
-    )
+        return (Bound(-proven_magnitude, "proven", "-2^(n-2)*floor(m/2)", note=note),
+                _conjectured_bound(n, m))
+    return (_conjectured_bound(n, m),
+            Bound(proven_magnitude, "proven", "2^(n-2)*floor(m/2)", note=note))
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Search extremes compared against the known bounds."""
+    """Search extremes compared against the known bounds.
 
-    n: int
-    m: int
+    Every verdict, and the witnesses, is derived from ``record``: the
+    lower side against its min, the upper side against its max.
+    """
+
     record: ExtremeRecord
     lower: Bound
     upper: Bound
-    lower_verdict: str
-    upper_verdict: str
+
+    @property
+    def lower_verdict(self) -> str:
+        return _side_verdict(self.lower, self.record.min_value, "lower")
+
+    @property
+    def upper_verdict(self) -> str:
+        return _side_verdict(self.upper, self.record.max_value, "upper")
+
+    def _broken_proven_sides(self) -> list[tuple[Site, ...]]:
+        """The site lists of the proven sides the record violates, lower side first."""
+        sides = ((self.lower, self.lower_verdict, self.record.min_sites),
+                 (self.upper, self.upper_verdict, self.record.max_sites))
+        return [sites for bound, verdict, sites in sides
+                if bound.status == "proven" and verdict == VERDICT_VIOLATED]
 
     @property
     def proven_violation(self) -> bool:
-        return (self.lower.status == "proven" and self.lower_verdict == VERDICT_VIOLATED) or (
-            self.upper.status == "proven" and self.upper_verdict == VERDICT_VIOLATED
-        )
+        """Decided by the verdicts, so a record with empty site lists still counts."""
+        return bool(self._broken_proven_sides())
+
+    @property
+    def witnesses(self) -> tuple[Site, ...]:
+        """Sites of the first proven side violated, lower side first; () if none is."""
+        broken = self._broken_proven_sides()
+        return broken[0] if broken else ()
 
 
 def _side_verdict(bound: Bound, extreme: int, side: str) -> str:
@@ -255,24 +253,14 @@ def _side_verdict(bound: Bound, extreme: int, side: str) -> str:
 
 def verify_bounds(n: int, m: int, workers: int = 1,
                   cache: ResultCache | None = None) -> BoundsReport:
-    """Exhaustively search (n, m) and give a per-side verdict.
+    """Exhaustively search (n, m) and compare it against ``known_bounds``.
 
     The search goes through ``cached_extremes``, so ``workers`` and
     ``cache`` mean what they mean there; the record is ``report.record``.
     A VIOLATED verdict on a proven side signals an implementation bug;
     callers are expected to fail the run on ``proven_violation``.
     """
-    record = cached_extremes(SearchSpace(n, m), workers, cache)
-    spec = known_bounds(n, m)
-    return BoundsReport(
-        n=n,
-        m=m,
-        record=record,
-        lower=spec.lower,
-        upper=spec.upper,
-        lower_verdict=_side_verdict(spec.lower, record.min_value, "lower"),
-        upper_verdict=_side_verdict(spec.upper, record.max_value, "upper"),
-    )
+    return BoundsReport(cached_extremes(SearchSpace(n, m), workers, cache), *known_bounds(n, m))
 
 
 @dataclass(frozen=True)
@@ -288,7 +276,8 @@ class SiteCheck:
 class ConjectureReport:
     """Outcome of checking the conjecture at one (n, m).
 
-    ``sites_exact`` is a set-equality verdict for part-1 arities (the
+    ``side`` is the conjectured extreme: "max" for odd n, "min" for even
+    n.  ``sites_exact`` is a set-equality verdict for part-1 arities (the
     prediction says the extremes occur exactly at the listed sites) and
     None for part-2 arities (only containment is claimed there).
     """
@@ -297,6 +286,7 @@ class ConjectureReport:
     m: int
     part: int
     block_index: int
+    side: str
     predicted_value: Fraction
     search_value: int
     value_matches: bool
@@ -327,9 +317,9 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
     part, block = _conjecture_block(n)
     record = cached_extremes(SearchSpace(n, m), workers, cache)
     if n % 2:
-        search_value, count = record.max_value, record.max_count
+        side, search_value, count = "max", record.max_value, record.max_count
     else:
-        search_value, count = record.min_value, record.min_count
+        side, search_value, count = "min", record.min_value, record.min_count
     predicted_value = m * f_value(n)
     checks = []
     for site in sites:
@@ -343,6 +333,7 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
         m=m,
         part=part,
         block_index=block,
+        side=side,
         predicted_value=predicted_value,
         search_value=search_value,
         value_matches=predicted_value == search_value,

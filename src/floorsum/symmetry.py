@@ -53,20 +53,13 @@ CASE_VALUES = {1: 0, 2: -1, 3: 1, 4: 0}
 
 
 @dataclass(frozen=True)
-class DeltaCase:
-    """Case classification of the two-variable difference."""
+class DeltaRecord:
+    """Value and case classification of one two-variable difference."""
 
+    value: int
     case_id: int
     cond_sum: bool   # a1 + a2 >= m
     cond_tail: bool  # a2 + K - m + 1 > 0
-
-
-@dataclass(frozen=True)
-class DeltaRecord:
-    """Value and case of one two-variable difference."""
-
-    value: int
-    case: DeltaCase
 
 
 @dataclass(frozen=True)
@@ -137,13 +130,13 @@ def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     value = eval_closed(Instance(m, (a1, a2), k)) - eval_closed(Instance(m, (a1 + 1, a2), k - 1))
     cond_sum = a1 + a2 >= m
     cond_tail = a2 + k - m + 1 > 0
-    case = DeltaCase(1 + cond_tail + 2 * cond_sum, cond_sum, cond_tail)
-    if value != CASE_VALUES[case.case_id]:
+    case_id = 1 + cond_tail + 2 * cond_sum
+    if value != CASE_VALUES[case_id]:
         raise TableViolationError(
-            f"delta({m}, {a1}, {a2}, {k}) = {value} but case {case.case_id} "
-            f"requires {CASE_VALUES[case.case_id]}"
+            f"delta({m}, {a1}, {a2}, {k}) = {value} but case {case_id} "
+            f"requires {CASE_VALUES[case_id]}"
         )
-    return DeltaRecord(value, case)
+    return DeltaRecord(value, case_id, cond_sum, cond_tail)
 
 
 def box(m: int, a1: int, a2: int, a3: int, k: int) -> BoxRecord:

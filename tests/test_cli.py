@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 
 from floorsum import (
     CacheWarning,
+    DomainError,
     ExtremeRecord,
     ResultCache,
     SearchSpace,
@@ -245,7 +247,7 @@ def test_delta_scan_matches_delta_cell_by_cell():
         for a1 in range(m):
             for a2 in range(m):
                 for k in range(1, m // 2):
-                    case_id = delta(m, a1, a2, k).case.case_id
+                    case_id = delta(m, a1, a2, k).case_id
                     scan["cells"] += 1
                     scan[f"case{case_id}"] += 1
                     scan["sorted_case2"] += a1 >= a2 and case_id == 2
@@ -381,6 +383,29 @@ def test_cache_miss_on_key_mismatch(tmp_path):
     assert cache.get(SearchSpace(3, 7, cap=5)) is None
     assert cache.get(SearchSpace(3, 7, (0, 5))) is None
     assert cache.get(SearchSpace(3, 8)) is None
+
+
+def test_cache_put_refuses_a_record_a_load_would_discard(tmp_path):
+    space = SearchSpace(3, 6)
+    record = extremes(space)
+    other = extremes(SearchSpace(3, 5))
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(DomainError, match="stored under"):
+        ResultCache(fresh).put(space, other)
+    assert not fresh.exists()
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path)
+    cache.put(space, record)
+    stored = path.read_bytes()
+    assert cache.get(space) == record
+    for bad in (other, replace(record, max_value=float(record.max_value))):
+        with pytest.raises(DomainError):
+            cache.put(space, bad)
+        assert path.read_bytes() == stored
+    assert cache.get(space) == record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ResultCache(path).get(space) == record
 
 
 def test_cache_discards_corrupt_lines_with_warning(tmp_path):
@@ -627,15 +652,24 @@ def test_proven_bound_violation_is_fatal(runner, tmp_path):
 
 
 def test_violation_witnesses_come_from_the_proven_side(runner, tmp_path):
-    # at (4, 12) the upper bound is proven and the lower one conjectured:
-    # breaking both must list the max sites, not the conjectured side's min sites
-    space = SearchSpace(4, 12)
-    path = _poison(tmp_path, space, max_value=100, min_value=-100)
-    result = invoke(runner, "verify-bounds", "--n", "4", "--m", "12", "--cache", path)
-    assert result.exit_code == 3
-    record = extremes(space)
-    witnesses = result.stdout.split("witnesses:\n")[1].splitlines()
-    assert witnesses == [f"  A={','.join(map(str, a))} K={k}" for a, k in record.max_sites[:10]]
+    cases = (
+        # (4, 12): only the upper side is proven, so breaking both lists the
+        # max sites, not the conjectured side's min sites
+        (4, 12, {"max_value": 100, "min_value": -100}, "max", "  A=6,6,6,6 K=5"),
+        # (5, 6): the proven side is the lower one
+        (5, 6, {"min_value": -100}, "min", "  A=3,3,3,3,3 K=2"),
+        # (3, 7): both sides are proven; the lower one is listed first
+        (3, 7, {"max_value": 100, "min_value": -100}, "min", "  A=4,4,3 K=2"),
+    )
+    for n, m, overrides, side, first in cases:
+        space = SearchSpace(n, m)
+        path = _poison(tmp_path / f"{n}-{m}", space, **overrides)
+        result = invoke(runner, "verify-bounds", "--n", str(n), "--m", str(m), "--cache", path)
+        assert result.exit_code == 3, (n, m)
+        sites = getattr(extremes(space), f"{side}_sites")
+        witnesses = result.stdout.split("witnesses:\n")[1].splitlines()
+        assert witnesses == [f"  A={','.join(map(str, a))} K={k}" for a, k in sites[:10]]
+        assert witnesses[0] == first, (n, m)
 
 
 def test_conjecture_failure_is_reported_not_fatal(runner, tmp_path):

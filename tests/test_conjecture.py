@@ -5,6 +5,7 @@ the recurrence by hand and is independently confirmed against exhaustive
 search in the acceptance suite.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from floorsum import (
     DomainError,
     Instance,
     ResultCache,
+    SearchSpace,
     eval_direct,
+    extremes,
     f_sequence,
     f_value,
     known_bounds,
@@ -95,35 +98,35 @@ def test_f_value_rejects_small_n_in_its_own_terms():
 
 
 def test_known_bounds_examples():
-    spec = known_bounds(2, 7)
-    assert (spec.lower.value, spec.upper.value) == (0, 3)
-    assert spec.lower.status == spec.upper.status == "proven"
+    lower, upper = known_bounds(2, 7)
+    assert (lower.value, upper.value) == (0, 3)
+    assert lower.status == upper.status == "proven"
 
-    spec = known_bounds(3, 7)
-    assert (spec.lower.value, spec.upper.value) == (-6, 2)
+    lower, upper = known_bounds(3, 7)
+    assert (lower.value, upper.value) == (-6, 2)
 
-    spec = known_bounds(4, 9)
-    assert (spec.lower.value, spec.upper.value) == (-9, 16)
-    assert spec.lower.status == "conjectured" and spec.upper.status == "proven"
+    lower, upper = known_bounds(4, 9)
+    assert (lower.value, upper.value) == (-9, 16)
+    assert lower.status == "conjectured" and upper.status == "proven"
 
-    spec = known_bounds(1, 10)
-    assert (spec.lower.value, spec.upper.value) == (0, 9)
+    lower, upper = known_bounds(1, 10)
+    assert (lower.value, upper.value) == (0, 9)
 
 
 def test_known_bounds_for_larger_arities():
-    spec = known_bounds(5, 6)
-    assert spec.lower.value == -8 * 3 and spec.lower.status == "proven"
-    assert spec.upper.value == 12 and spec.upper.status == "conjectured"
-    assert spec.lower.note is None  # m even: the proven side needs no caveat
+    lower, upper = known_bounds(5, 6)
+    assert lower.value == -8 * 3 and lower.status == "proven"
+    assert upper.value == 12 and upper.status == "conjectured"
+    assert lower.note is None  # m even: the proven side needs no caveat
 
-    spec = known_bounds(5, 7)  # 3 does not divide 7: conjectured side unavailable
-    assert spec.upper.value is None
-    assert "unavailable" in spec.upper.note
-    assert spec.lower.value == -8 * 3 and "m is even" in spec.lower.note
+    lower, upper = known_bounds(5, 7)  # 3 does not divide 7: conjectured side unavailable
+    assert upper.value is None
+    assert "unavailable" in upper.note
+    assert lower.value == -8 * 3 and "m is even" in lower.note
 
-    spec = known_bounds(6, 15)
-    assert spec.lower.value == -45 and spec.lower.status == "conjectured"
-    assert spec.upper.value == 16 * 7 and spec.upper.status == "proven"
+    lower, upper = known_bounds(6, 15)
+    assert lower.value == -45 and lower.status == "conjectured"
+    assert upper.value == 16 * 7 and upper.status == "proven"
 
 
 # --------------------------------------------------------- predicted sites
@@ -173,12 +176,21 @@ def test_predicted_sites_divisibility_errors():
 def test_verify_bounds_examples():
     report = verify_bounds(1, 10)
     assert report.lower_verdict == report.upper_verdict == "holds-with-equality"
-    assert not report.proven_violation
+    assert not report.proven_violation and report.witnesses == ()
 
     report = verify_bounds(4, 12)
     assert report.record.min_value == -12 and report.record.max_value == 24
     assert report.lower_verdict == "holds-with-equality"
     assert report.upper_verdict == "holds-with-equality"
+    # every verdict follows the record: a min below the conjectured lower
+    # side breaks no proven one, so there is nothing to witness
+    doctored = replace(report, record=replace(report.record, min_value=-100))
+    assert doctored.lower_verdict == "VIOLATED"
+    assert doctored.upper_verdict == "holds-with-equality"
+    assert not doctored.proven_violation and doctored.witnesses == ()
+    # a broken proven side counts even when the record lists no sites for it
+    doctored = replace(report, record=replace(report.record, max_value=100, max_sites=()))
+    assert doctored.proven_violation and doctored.witnesses == ()
 
     report = verify_bounds(2, 7)
     assert report.upper_verdict == "holds-with-equality"
@@ -232,11 +244,14 @@ def test_verify_conjecture_checks_divisibility_before_the_cache(tmp_path):
 def test_verify_conjecture_part_one():
     report = verify_conjecture(5, 6)
     assert report.part == 1 and report.block_index == 1
+    assert report.side == "max"
+    assert report.search_value == extremes(SearchSpace(5, 6)).max_value
     assert report.search_value == 12 and report.predicted_value == 12
     assert report.sites_exact is True and report.passed
 
     report = verify_conjecture(4, 9)
-    assert report.search_value == -9
+    assert report.side == "min"
+    assert report.search_value == extremes(SearchSpace(4, 9)).min_value == -9
     assert report.sites_exact is True and report.passed
 
     report = verify_conjecture(7, 5)

@@ -97,12 +97,12 @@ def test_mirror_equality_empirical_n4_n5():
 
 def test_delta_known_values():
     rec = delta(6, 5, 2, 2)
-    assert rec.value == 1 and rec.case.case_id == 3
-    assert rec.case.cond_sum and not rec.case.cond_tail
+    assert rec.value == 1 and rec.case_id == 3
+    assert rec.cond_sum and not rec.cond_tail
     rec = delta(6, 1, 4, 2)
-    assert rec.value == -1 and rec.case.case_id == 2
+    assert rec.value == -1 and rec.case_id == 2
     rec = delta(10, 5, 2, 2)
-    assert rec.value == 0 and rec.case.case_id == 1
+    assert rec.value == 0 and rec.case_id == 1
 
 
 def test_delta_rejects_out_of_range_arguments():
@@ -123,10 +123,10 @@ def test_delta_table_exhaustive():
             for a2 in range(m):
                 for k in legal_delta_k(m):
                     rec = delta(m, a1, a2, k)
-                    assert rec.value == CASE_VALUES[rec.case.case_id]
-                    seen[rec.case.case_id] += 1
+                    assert rec.value == CASE_VALUES[rec.case_id]
+                    seen[rec.case_id] += 1
                     if a1 >= a2:
-                        assert rec.case.case_id != 2, (m, a1, a2, k)
+                        assert rec.case_id != 2, (m, a1, a2, k)
     assert all(seen[c] > 0 for c in seen)  # the scan exercises every case
 
 
