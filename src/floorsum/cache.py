@@ -2,9 +2,10 @@
 
 One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
 not decode or parse, do not round-trip into an ExtremeRecord of plain
-ints, or hold a record for another space than their key, are discarded
-with one warning each when the file is read, and the search reruns; a
-cached hit is indistinguishable in content from a fresh computation.
+ints, hold a record for another space than their key, or hold one for a
+space that ``SearchSpace`` refuses, are discarded with one warning each
+when the file is read, and the search reruns; a cached hit is
+indistinguishable in content from a fresh computation.
 ``put`` refuses such a record before writing it.  The file is read once
 per ``ResultCache`` and lookups are answered from memory.
 """
@@ -20,7 +21,7 @@ from .search import ExtremeRecord, SearchSpace, extremes
 
 
 class CacheWarning(UserWarning):
-    """A cache entry was unreadable or held a record for another key, and has been ignored."""
+    """A cache entry was unreadable, invalid or stored under another key; it has been ignored."""
 
 
 def _key(space: SearchSpace | ExtremeRecord) -> dict:
@@ -31,11 +32,6 @@ def _key(space: SearchSpace | ExtremeRecord) -> dict:
         "k_hi": space.k_range[1],
         "cap": space.cap,
     }
-
-
-def _slot(space: SearchSpace | ExtremeRecord) -> tuple:
-    """Index key: the values of ``_key``, so a lookup matches as ``_key(...) ==`` does."""
-    return tuple(_key(space).values())
 
 
 def _check(record: ExtremeRecord, key: dict) -> None:
@@ -64,13 +60,13 @@ class ResultCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._index: dict[tuple, ExtremeRecord] | None = None  # loaded by the first get
+        self._index: dict[SearchSpace, ExtremeRecord] | None = None  # loaded by the first get
 
     def get(self, space: SearchSpace) -> ExtremeRecord | None:
         """Latest stored record for this space, or None on a miss."""
         if self._index is None:
             self._load()
-        return self._index.get(_slot(space))
+        return self._index.get(space)
 
     def _load(self) -> None:
         index = {}  # kept once the whole file is read: a warning raised as an error reloads
@@ -87,11 +83,12 @@ class ResultCache:
                     entry = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
                     record = ExtremeRecord.from_dict(entry["record"])
                     _check(record, entry["key"])
-                except (ValueError, LookupError, TypeError) as exc:
+                    space = SearchSpace(record.n, record.m, record.k_range, record.cap)
+                except (ValueError, LookupError, TypeError, OverflowError) as exc:
                     warnings.warn(f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
                                   CacheWarning, stacklevel=3)  # get's caller
                     continue
-                index[_slot(record)] = record
+                index[space] = record
         self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
@@ -104,7 +101,7 @@ class ResultCache:
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
         if self._index is not None:
-            self._index[_slot(space)] = record
+            self._index[space] = record
 
 
 def cached_extremes(space: SearchSpace, workers: int = 1,

@@ -1,12 +1,11 @@
 """Command-line workbench: evaluate, search, verify, export.
 
 Every command supports three output formats (human, csv, json).  Each
-``_run_*`` handler returns one ``Output`` holding its result in all
-three shapes, and ``_render`` is the single renderer that writes the
-chosen one.  JSON output is a single object with "config" and "result"
-keys; CSV output is a header row followed by data rows.  Both are
-deterministic for a given configuration: keys are sorted and column
-order is fixed.
+``_run_*`` handler passes its result in all three shapes to ``_output``,
+the single renderer, which writes the chosen one.  JSON output is a
+single object with "config" and "result" keys; CSV output is a header
+row followed by data rows.  Both are deterministic for a given
+configuration: keys are sorted and column order is fixed.
 
 Click's parameter names are ``RunConfig``'s fields: a command passes them
 straight on once ``_checked`` has applied the flag floors and parsed --a.
@@ -35,12 +34,7 @@ from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
 from .core import Instance, eval_closed, eval_closed_all_k
-from .exceptions import (
-    DivisibilityError,
-    DomainError,
-    InstanceTooLargeError,
-    TableViolationError,
-)
+from .exceptions import DomainError, FloorSumError, TableViolationError
 from .search import DEFAULT_CAP, SearchSpace
 from .symmetry import CASE_VALUES, delta
 
@@ -84,29 +78,20 @@ class RunConfig:
         return ResultCache(self.cache_path) if self.cache_path else None
 
 
-@dataclass(frozen=True)
-class Output:
-    """A command's JSON payload, CSV table, human lines and exit status."""
-
-    result: dict
-    header: list[str]
-    rows: list[list]
-    lines: list[str]
-    code: int = EXIT_OK
-
-
-def _render(config: RunConfig, out: Output) -> str:
-    """The single place output text is produced for ``config.fmt``."""
+def _output(config: RunConfig, result: dict, header: list[str], rows: list[list],
+            lines: list[str], code: int = EXIT_OK) -> tuple[int, str]:
+    """(exit status, output text): the single place text is produced for ``config.fmt``,
+    from a command's JSON payload, CSV table and human lines."""
     if config.fmt == "json":
-        return json.dumps({"config": config.to_dict(), "result": out.result},
-                          sort_keys=True, indent=2) + "\n"
+        return code, json.dumps({"config": config.to_dict(), "result": result},
+                                sort_keys=True, indent=2) + "\n"
     if config.fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(out.header)
-        writer.writerows(out.rows)
-        return buffer.getvalue()
-    return "\n".join(out.lines) + "\n"
+        writer.writerow(header)
+        writer.writerows(rows)
+        return code, buffer.getvalue()
+    return code, "\n".join(lines) + "\n"
 
 
 def _multiset_text(a: tuple[int, ...]) -> str:
@@ -130,26 +115,25 @@ def run(config: RunConfig) -> tuple[int, str]:
     }.get(config.command)
     if handler is None:
         raise DomainError(f"unknown command {config.command!r}")
-    out = handler(config)
-    return out.code, _render(config, out)
+    return handler(config)
 
 
-def _run_eval(config: RunConfig) -> Output:
+def _run_eval(config: RunConfig) -> tuple[int, str]:
     value = eval_closed(Instance(config.m, config.a, config.k))
-    return Output({"value": value}, ["m", "a", "k", "value"],
-                  [[config.m, _multiset_text(config.a), config.k, value]], [str(value)])
+    return _output(config, {"value": value}, ["m", "a", "k", "value"],
+                   [[config.m, _multiset_text(config.a), config.k, value]], [str(value)])
 
 
-def _run_table(config: RunConfig) -> Output:
+def _run_table(config: RunConfig) -> tuple[int, str]:
     maxima, minima = sequence_table(config.n, config.m_max, config.workers, config.cache)
     ms = range(1, config.m_max + 1)
     lines = [f"extremes of S_m over bounded instances, n={config.n}", "m max min"]
     lines += [f"{m} {hi} {lo}" for m, hi, lo in zip(ms, maxima, minima)]
-    return Output({"max": maxima, "min": minima}, ["sequence"] + [str(m) for m in ms],
-                  [["max"] + maxima, ["min"] + minima], lines)
+    return _output(config, {"max": maxima, "min": minima}, ["sequence"] + [str(m) for m in ms],
+                   [["max"] + maxima, ["min"] + minima], lines)
 
 
-def _run_search(config: RunConfig) -> Output:
+def _run_search(config: RunConfig) -> tuple[int, str]:
     space = SearchSpace(config.n, config.m, (config.k_lo, config.k_hi), config.cap)
     record = cached_extremes(space, workers=config.workers, cache=config.cache)
     k_lo, k_hi = record.k_range
@@ -163,10 +147,10 @@ def _run_search(config: RunConfig) -> Output:
         lines += _site_lines(sites)
         if len(sites) < count:
             lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {record.cap}")
-    return Output(record.to_dict(), ["kind", "value", "count", "a", "k"], rows, lines)
+    return _output(config, record.to_dict(), ["kind", "value", "count", "a", "k"], rows, lines)
 
 
-def _run_verify_bounds(config: RunConfig) -> Output:
+def _run_verify_bounds(config: RunConfig) -> tuple[int, str]:
     report = verify_bounds(config.n, config.m, config.workers, config.cache)
     record = report.record
     result = {"max_value": record.max_value, "min_value": record.min_value,
@@ -187,11 +171,11 @@ def _run_verify_bounds(config: RunConfig) -> Output:
     if report.proven_violation:
         lines.append("PROVEN BOUND VIOLATED -- implementation bug; witnesses:")
         lines += _site_lines(report.witnesses[:10])
-    return Output(result, ["side", "formula", "status", "bound", "extreme", "verdict"],
-                  rows, lines, EXIT_BUG if report.proven_violation else EXIT_OK)
+    return _output(config, result, ["side", "formula", "status", "bound", "extreme", "verdict"],
+                   rows, lines, EXIT_BUG if report.proven_violation else EXIT_OK)
 
 
-def _run_verify_conjecture(config: RunConfig) -> Output:
+def _run_verify_conjecture(config: RunConfig) -> tuple[int, str]:
     report = verify_conjecture(config.n, config.m, config.workers, config.cache)
     checks = report.site_checks
     result = {
@@ -227,15 +211,15 @@ def _run_verify_conjecture(config: RunConfig) -> Output:
         lines.append(f"attaining sites: {report.attaining_count}; "
                      f"predicted-set equality: {'yes' if report.sites_exact else 'NO'}")
     lines.append("PASS" if report.passed else "CONJECTURE CHECK FAILED (reported, not fatal)")
-    return Output(result, ["check", "a", "k", "expected", "actual", "ok"], rows, lines)
+    return _output(config, result, ["check", "a", "k", "expected", "actual", "ok"], rows, lines)
 
 
-def _run_f_seq(config: RunConfig) -> Output:
+def _run_f_seq(config: RunConfig) -> tuple[int, str]:
     values = list(enumerate(f_sequence(config.n_max), start=2))
-    return Output({"start": 2, "f": [str(v) for _, v in values]},
-                  ["n", "numerator", "denominator"],
-                  [[n, v.numerator, v.denominator] for n, v in values],
-                  [f"f({n}) = {v}" for n, v in values])
+    return _output(config, {"start": 2, "f": [str(v) for _, v in values]},
+                   ["n", "numerator", "denominator"],
+                   [[n, v.numerator, v.denominator] for n, v in values],
+                   [f"f({n}) = {v}" for n, v in values])
 
 
 _SCAN_HEADER = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"]
@@ -273,13 +257,13 @@ def _scan_one_m(m: int) -> dict:
     return dict(zip(_SCAN_HEADER, [m, sum(counts), *counts[1:], sorted_case2]))
 
 
-def _run_delta_scan(config: RunConfig) -> Output:
+def _run_delta_scan(config: RunConfig) -> tuple[int, str]:
     ms = [config.m] if config.m is not None else list(range(1, config.m_max + 1))
     scans = [_scan_one_m(m) for m in ms]
     rows = [[s[c] for c in _SCAN_HEADER] for s in scans]
     lines = ["difference-table scan (every value matched its case)", " ".join(_SCAN_HEADER)]
     lines += [" ".join(str(v) for v in row) for row in rows]
-    return Output({"scans": scans}, _SCAN_HEADER, rows, lines)
+    return _output(config, {"scans": scans}, _SCAN_HEADER, rows, lines)
 
 
 # ----------------------------------------------------------------- click layer
@@ -322,11 +306,11 @@ def _finish(config: RunConfig) -> None:
         with warnings.catch_warnings():  # e.g. a discarded cache line, as one plain line
             warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
             code, text = run(config)
-    except (DomainError, DivisibilityError, InstanceTooLargeError) as exc:
-        raise click.UsageError(str(exc))
     except TableViolationError as exc:
         click.echo(f"TABLE VIOLATION (implementation bug): {exc}", err=True)
         sys.exit(EXIT_BUG)
+    except FloorSumError as exc:  # invalid input, divisibility or an oversize instance
+        raise click.UsageError(str(exc))
     except OSError as exc:
         if exc.filename is None:  # the cache is the only file a command touches
             raise

@@ -11,6 +11,13 @@ followed by a ninth-order linear recurrence with quadratic polynomial
 coefficients.  The attaining sites are constant multisets c*m/d with
 K = c*m/d - 1, available only when d divides m.
 
+Refined conjecture (this repository's empirical claim, not the paper's;
+unproven, and checked exhaustively for n = 4..10, m = 2..16 by the
+acceptance suite): with k = floor((n+1)/4), the conjectured-side extreme
+never passes m*f(n) at any m.  It equals m*f(n) exactly when (2k+1) | m
+for n = 4k-1, 4k, 4k+1, and exactly when m lies in the numerical
+semigroup <2k+1, 2k+3> for n = 4k+2.
+
 Everything here is exact: f(n) is kept as a Fraction end to end, and
 verification compares search results with predictions by integer or
 rational equality, never by tolerance.

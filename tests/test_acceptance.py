@@ -163,3 +163,25 @@ def test_criterion_8_recurrence_and_cross_check():
             assert recurrence_residual(seq, n) == 0
         record = extremes(SearchSpace(11, 7))
         assert record.max_value == 7 * seq[11 - 2] == 1036
+
+
+def test_criterion_9_refined_conjecture():
+    with criterion("9: refined conjecture exhaustive for n=4..10, m=2..16: the "
+                   "conjectured-side extreme never passes m*f(n), and equals it "
+                   "exactly on (2k+1) | m, or on <2k+1, 2k+3> for n = 4k+2"):
+        f = f_sequence(10)
+        for n in range(4, 11):
+            k = (n + 1) // 4
+            for m in range(2, 17):
+                record = extremes(SearchSpace(n, m))
+                bound = m * f[n - 2]
+                # signed so that "never passes" reads extreme <= bound on both sides
+                sign = 1 if n % 2 else -1
+                extreme = record.max_value if n % 2 else record.min_value
+                assert sign * extreme <= sign * bound, (n, m, extreme, bound)
+                if n % 4 == 2:
+                    tight = any((m - i * (2 * k + 1)) % (2 * k + 3) == 0
+                                for i in range(m // (2 * k + 1) + 1))
+                else:
+                    tight = m % (2 * k + 1) == 0
+                assert (extreme == bound) == tight, (n, m, extreme, bound)

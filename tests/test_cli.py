@@ -18,6 +18,7 @@ from floorsum import (
     CacheWarning,
     DomainError,
     ExtremeRecord,
+    FloorSumError,
     ResultCache,
     SearchSpace,
     cached_extremes,
@@ -73,6 +74,20 @@ def test_eval_usage_errors_name_the_flag(runner):
     assert result.exit_code == 2 and "--a" in result.output
     result = invoke(runner, "eval", "--m", "5", "--a", "", "--k", "1")
     assert result.exit_code == 2 and "--a" in result.output
+
+
+def test_every_floorsum_error_is_a_usage_error(runner, monkeypatch):
+    class NewError(FloorSumError):
+        pass
+
+    def refuse(instance):
+        raise NewError("no such value")
+
+    monkeypatch.setattr(floorsum.cli, "eval_closed", refuse)
+    result = runner.invoke(cli, ["eval", "--m", "5", "--a", "2,3", "--k", "1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.endswith("Error: no such value\n")
+    assert "Traceback" not in result.output
 
 
 # ----------------------------------------------------------------- table
@@ -439,6 +454,24 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cache.get(space) == record
+
+
+def test_cache_discards_a_stored_space_that_search_space_refuses(tmp_path):
+    # each line's key agrees with its record, but SearchSpace refuses the space:
+    # no site may be recorded, an inverted K range, a widest cell past 64 bits
+    space = SearchSpace(3, 5)
+    for i, fields in enumerate([{"cap": 0}, {"k_range": [4, 1]},
+                               {"n": 70, "m": 3, "k_range": [0, 2]}]):
+        record = {**extremes(space).to_dict(), **fields}
+        key = {"n": record["n"], "m": record["m"], "k_lo": record["k_range"][0],
+               "k_hi": record["k_range"][1], "cap": record["cap"]}
+        path = tmp_path / f"cache{i}.jsonl"
+        path.write_text(json.dumps({"key": key, "record": record}) + "\n")
+        with pytest.warns(CacheWarning) as caught:
+            assert cached_extremes(space, cache=ResultCache(path)) == extremes(space)
+        assert len(caught) == 1, fields
+        assert str(caught[0].message).startswith(f"discarding corrupt cache entry at {path}:1: ")
+        assert len(path.read_text().splitlines()) == 2  # recomputed and appended
 
 
 def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path):

@@ -153,25 +153,11 @@ def test_constant_seeds_sweep_once_per_space(monkeypatch):
         assert set(calls) == family, (n, m)
 
 
-def test_prune_bound_holds_for_every_completion():
-    # S_P over one period spans [lo, hi]; after r more elements every S value
-    # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo]
-    for m in range(1, 10):
-        for n in range(3, 6):
-            for a in enumerate_multisets(n, m):
-                values = [eval_direct(Instance(m, a, k)) for k in range(m)]
-                for size in range(2, n):
-                    prefix = [eval_direct(Instance(m, a[:size], k)) for k in range(m)]
-                    lo, hi = min(prefix), max(prefix)
-                    for _ in range(n - size):
-                        lo, hi = lo - 2 * hi, hi - 2 * lo
-                    assert lo <= min(values) and max(values) <= hi, (m, a, size)
-
-
 def test_subset_expansion_bound_holds_for_every_completion():
     # S_P over one period spans [lo, hi]; after r more elements every S value
-    # lies in [-2^r (hi - lo), 2^r (hi - lo)], the bound of the search module
-    # docstring, which for r >= 2 lies inside r steps of the map above
+    # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo], and
+    # in [-2^r (hi - lo), 2^r (hi - lo)], the bound of the search module
+    # docstring, which for r >= 2 lies inside the iterated map
     @functools.cache
     def values(m, a):
         return [eval_direct(Instance(m, a, k)) for k in range(m)]
@@ -187,6 +173,7 @@ def test_subset_expansion_bound_holds_for_every_completion():
                     assert -width <= min(values(m, a)) and max(values(m, a)) <= width, (m, a, size)
                     for _ in range(n - size):
                         lo, hi = lo - 2 * hi, hi - 2 * lo
+                    assert lo <= min(values(m, a)) and max(values(m, a)) <= hi, (m, a, size)
                     assert n - size == 1 or lo <= -width <= width <= hi, (m, a, size)
                     pairs += 1
     assert pairs == 19_734
