@@ -329,6 +329,45 @@ def test_several_bad_flags_report_one_fixed_first_error(runner, argv, error):
     assert result.stderr.splitlines()[-1] == f"Error: {error}"
 
 
+def test_attached_and_repeated_flags_read_as_the_plain_form(runner):
+    plain = invoke(runner, "search", "--n", "3", "--m", "7", "--format", "csv")
+    assert plain.exit_code == 0
+    for argv in (["search", "--n=3", "--m=7", "--format=csv"],
+                 ["search", "--n", "9", "--m", "7", "--n", "3", "--format", "json",
+                  "--format", "csv"],
+                 ["search", "--n", "x", "--m", "7", "--format", "csv", "--n=3"]):
+        result = invoke(runner, *argv)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, ""), argv
+
+
+def _started(argv, stdout=subprocess.PIPE):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_program_name_follows_how_the_cli_was_started(tmp_path):
+    as_module = _started([sys.executable, "-m", "floorsum.cli", "eval"])
+    assert as_module.returncode == 2
+    assert as_module.stderr.startswith(b"Usage: python -m floorsum.cli eval [OPTIONS]\n")
+    script = tmp_path / "floorsum"  # what an installed entry-point script runs
+    script.write_text("from floorsum.cli import main\nmain()\n")
+    as_script = _started([sys.executable, str(script), "eval"])
+    assert as_script.returncode == 2
+    assert as_script.stderr.startswith(b"Usage: floorsum eval [OPTIONS]\n")
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _started([sys.executable, "-m", "floorsum.cli", "table", "--n", "3",
+                           "--m-max", "8"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
 # ------------------------------------------------------------------ run()
 
 # One query per command: its argv and the RunConfig fields the CLI resolves.
@@ -571,6 +610,24 @@ def test_cli_cache_flag_and_env(runner, tmp_path):
     # worker count is an execution detail, not part of the result
     parallel = invoke(runner, *args, "--workers", "2")
     assert parallel.output == first.output
+
+
+def test_empty_floorsum_cache_means_no_cache(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ("search", "--n", "3", "--m", "6")
+    result = invoke(runner, *args, env={"FLOORSUM_CACHE": ""})
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.stdout == invoke(runner, *args, env={"FLOORSUM_CACHE": None}).stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_cache_path_naming_a_directory_is_a_usage_error(runner, tmp_path):
+    message = f"Error: Invalid value for '--cache': File {str(tmp_path)!r} is a directory.\n"
+    args = ("search", "--n", "3", "--m", "6")
+    for result in (invoke(runner, *args, "--cache", str(tmp_path)),
+                   invoke(runner, *args, env={"FLOORSUM_CACHE": str(tmp_path)})):
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.endswith(message)
 
 
 def test_cli_cache_hit_is_actually_used(runner, tmp_path):

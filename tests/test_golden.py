@@ -87,6 +87,14 @@ CASES.update({
     "usage-delta-scan-none": (["delta-scan"], 2, None),
     "usage-delta-scan-both": (["delta-scan", "--m", "5", "--m-max", "6"], 2, None),
     "usage-format": (["f-seq", "--n-max", "3", "--format", "xml"], 2, None),
+    "usage-unknown-flag": (["search", "--nn", "3"], 2, None),
+    "usage-unknown-flag-several": (["search", "--N", "3"], 2, None),
+    "usage-flag-missing-value": (["search", "--n", "3", "--m"], 2, None),
+    "usage-unknown-command": (["nope"], 2, None),
+    "usage-unknown-command-suggestion": (["serch", "--n", "3"], 2, None),
+    "usage-extra-argument": (["eval", "--m", "5", "--a", "2,3", "--k", "1", "extra"], 2, None),
+    "usage-cache-directory": (["search", "--n", "3", "--m", "5", "--cache", "."], 2, None),
+    "help-search-h": (["search", "-h"], 0, None),
 })
 CASES.update({
     f"help-{command}": ([command, "--help"], 0, None)
