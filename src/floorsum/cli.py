@@ -7,8 +7,12 @@ single object with "config" and "result" keys; CSV output is a header
 row followed by data rows.  Both are deterministic for a given
 configuration: keys are sorted and column order is fixed.
 
-Click's parameter names are ``RunConfig``'s fields: a command passes them
-straight on once ``_checked`` has applied the flag floors and parsed --a.
+One table, ``_COMMANDS``, gives every command's flags; it drives parsing,
+the --help pages and the usage errors, whose layout and wording are
+click's (the golden files pin them).  Each flag names the ``RunConfig``
+field it sets, and a command passes them straight on once ``_checked``
+has applied the flag floors and parsed --a.  The standard library alone
+reads the command line, so a query does not pay for a parser library.
 
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
@@ -23,12 +27,11 @@ import csv
 import gc
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-
-import click
 
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
@@ -266,33 +269,165 @@ def _run_delta_scan(config: RunConfig) -> tuple[int, str]:
     return _output(config, {"scans": scans}, _SCAN_HEADER, rows, lines)
 
 
-# ----------------------------------------------------------------- click layer
+# ------------------------------------------------------------ command line
+
+_REQUIRED = ...  # the default of a flag that must be given
+_FORMATS = ("human", "csv", "json")
+_METAVARS = {"int": "INTEGER", "text": "TEXT", "format": f"[{'|'.join(_FORMATS)}]",
+             "cache": "FILE"}
+
+# Every command's help text and its flags in --help order, each as (flag,
+# RunConfig field, kind, default or _REQUIRED, help).  --help shows every
+# default but None; --cache falls back to FLOORSUM_CACHE when that is not empty.
+_FORMAT_FLAG = ("--format", "fmt", "format", "human", "Output format.")
+_SEARCH_FLAGS = (
+    _FORMAT_FLAG,
+    ("--workers", "workers", "int", 1, "Parallel worker processes for the search engine."),
+    ("--cache", "cache_path", "cache", None,
+     "Search-result cache file (FLOORSUM_CACHE also works)."),
+)
+_COMMANDS = {
+    "eval": ("Evaluate S_m(A, K) by the closed form.", (
+        ("--m", "m", "int", _REQUIRED, "Modulus (>= 1)."),
+        ("--a", "a", "text", _REQUIRED, "Multiset, comma-separated (e.g. 2,3)."),
+        ("--k", "k", "int", _REQUIRED, "Prefix bound K, in [0, m-1]."),
+        _FORMAT_FLAG)),
+    "table": ("Max/min sequences of S_m over bounded instances, m = 1..m_max.", (
+        ("--n", "n", "int", _REQUIRED, "Arity (number of multiset elements)."),
+        ("--m-max", "m_max", "int", _REQUIRED, "Tabulate m = 1..m_max."),
+        *_SEARCH_FLAGS)),
+    "search": ("Exhaustive extremal search over every bounded (A, K).", (
+        ("--n", "n", "int", _REQUIRED, "Arity."),
+        ("--m", "m", "int", _REQUIRED, "Modulus."),
+        ("--k-min", "k_lo", "int", None, "Low end of the K range."),
+        ("--k-max", "k_hi", "int", None, "High end of the K range."),
+        ("--cap", "cap", "int", DEFAULT_CAP,
+         "Maximum number of attaining sites to record per side."),
+        *_SEARCH_FLAGS)),
+    "verify-bounds": (
+        "Search (n, m) exhaustively and compare against the known bounds.\n\n"
+        "Exits nonzero only if a proven bound is violated (an implementation bug); a "
+        "conjectured bound that is not attained is reported, not fatal.", (
+            ("--n", "n", "int", _REQUIRED, "Arity."),
+            ("--m", "m", "int", _REQUIRED, "Modulus."),
+            *_SEARCH_FLAGS)),
+    "verify-conjecture": ("Check M(n) = m*f(n) and the predicted sites against full search.", (
+        ("--n", "n", "int", _REQUIRED, "Arity (>= 4)."),
+        ("--m", "m", "int", _REQUIRED, "Modulus (must admit the predicted sites)."),
+        *_SEARCH_FLAGS)),
+    "f-seq": ("Exact rational sequence f(2..n_max) from the ninth-order recurrence.", (
+        ("--n-max", "n_max", "int", _REQUIRED, "Last index to produce (>= 2)."),
+        _FORMAT_FLAG)),
+    "delta-scan": (
+        "Audit the two-variable difference against its case table.\n\n"
+        "Scans every legal (a1, a2, K) cell; any value/case mismatch aborts with exit "
+        "status 3.", (
+            ("--m", "m", "int", None, "Scan a single modulus."),
+            ("--m-max", "m_max", "int", None, "Scan every modulus 1..m_max."),
+            _FORMAT_FLAG)),
+}
+_GROUP_DOC = "Exact workbench for alternating floor-function sums S_m(A, K)."
+_HELP_ROW = ("-h, --help", "Show this message and exit.")
+
+
+class _UsageError(Exception):
+    """A bad command line: exit 2 with "Error: <message>", after the usage
+    line and a pointer to --help unless ``bare``."""
+
+    def __init__(self, message: str, bare: bool = False):
+        super().__init__(message)
+        self.bare = bare
+
+
+def _suggest(message: str, name: str, candidates) -> str:
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, candidates))
+    shown = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f"{message} (Did you mean one of: {shown}?)"
+    return f"{message} Did you mean {shown}?" if close else message
+
+
+def _scan(args: list[str], valued, switches: tuple[str, ...],
+          interspersed: bool = True) -> tuple[dict, list[str], list[str]]:
+    """(each valued flag's last text, keyed in the order first given; the
+    switches given, in order; the other arguments).  "--" ends the flags, and
+    so does the first other argument unless ``interspersed``.  -h is --help."""
+    given, switched, rest = {}, [], []
+    args = list(args)
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            return given, switched, rest + args
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                return given, switched, [arg] + args
+            rest.append(arg)
+        elif arg[:2] != "--":  # a run of one-letter switches
+            for letter in arg[1:]:
+                if letter != "h":
+                    raise _UsageError(f"No such option '-{letter}'.")
+                switched.append("--help")
+        else:
+            name, attached, value = arg.partition("=")
+            if name in switches:
+                if attached:
+                    raise _UsageError(f"Option {name!r} does not take a value.", bare=True)
+                switched.append(name)
+            elif name in valued:
+                if not attached:
+                    if not args:
+                        raise _UsageError(f"Option {name!r} requires an argument.", bare=True)
+                    value = args.pop(0)
+                given[name] = value
+            else:
+                raise _UsageError(_suggest(f"No such option {name!r}.", name,
+                                           [*valued, *switches]))
+    return given, switched, rest
+
+
+def _convert(flag: str, kind: str, text: str):
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            problem = f"{text!r} is not a valid integer."
+    elif kind == "format" and text not in _FORMATS:
+        problem = f"{text!r} is not one of {', '.join(map(repr, _FORMATS))}."
+    elif kind == "cache" and os.path.isdir(text):
+        problem = f"File {text!r} is a directory."
+    elif kind == "cache" and os.path.exists(text) and not os.access(text, os.R_OK):
+        problem = f"File {text!r} is not readable."
+    else:
+        return text
+    raise _UsageError(f"Invalid value for {flag!r}: {problem}")
 
 
 def _parse_multiset(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"--a expects comma-separated integers, got {text!r}")
+        raise _UsageError(f"--a expects comma-separated integers, got {text!r}")
     if min(values) < 0:
-        raise click.UsageError("--a elements must be >= 0")
+        raise _UsageError("--a elements must be >= 0")
     return tuple(sorted(values, reverse=True))  # canonical descending order
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise click.UsageError(message)
+        raise _UsageError(message)
 
 
 # Each flag's least value, in the order checked; verify-conjecture raises --n's.
 _FLOORS = {"n": 1, "m": 1, "n_max": 2, "m_max": 1, "cap": 1, "workers": 1}
 
 
-def _checked(params: dict, **floors: int) -> dict:
-    """Click's params once every flag is at its floor and ``--a`` parses.  Both
-    run after click has read every flag, so several bad flags report the same
-    first error in any order on the command line."""
-    for name, low in {**_FLOORS, **floors}.items():
+def _checked(command: str, params: dict) -> dict:
+    """The flags once every one is at its floor and ``--a`` parses.  Both run
+    after every flag has been read, so several bad flags report the same first
+    error in any order on the command line."""
+    floors = {**_FLOORS, "n": 4} if command == "verify-conjecture" else _FLOORS
+    for name, low in floors.items():
         value = params.get(name)
         _require(value is None or value >= low,
                  f"--{name.replace('_', '-')} must be >= {low}, got {value}")
@@ -301,133 +436,167 @@ def _checked(params: dict, **floors: int) -> dict:
     return params
 
 
-def _finish(config: RunConfig) -> None:
+def _parse(command: str, args: list[str]) -> RunConfig | None:
+    """``command``'s RunConfig from its arguments, or None if they ask for help.
+
+    The first error wins, in this order: an unreadable argument; the flags
+    given, converted in the order first given (a repeated flag's last value
+    stands); the required flags left out, in table order; extra arguments;
+    then each command's rules across its flags and the floors.
+    """
+    table = {row[0]: row for row in _COMMANDS[command][1]}
+    given, switched, extra = _scan(args, table, ("--help",))
+    if switched:
+        return None
+    params = {table[flag][1]: _convert(flag, table[flag][2], text)
+              for flag, text in given.items()}
+    for flag, field, kind, default, _ in table.values():
+        if field in params:
+            continue
+        env = os.environ.get("FLOORSUM_CACHE") if kind == "cache" else None
+        if env:
+            params[field] = _convert(flag, kind, env)
+        elif default is _REQUIRED:
+            raise _UsageError(f"Missing option {flag!r}.")
+        else:
+            params[field] = default
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    if command == "delta-scan":
+        _require((params["m"] is None) != (params["m_max"] is None),
+                 "exactly one of --m / --m-max is required")
+    config = RunConfig(command, **_checked(command, params))
+    if command == "eval":
+        _require(0 <= config.k <= config.m - 1,
+                 f"--k must be in [0, {config.m - 1}], got {config.k}")
+    if command == "search":
+        k_lo = 0 if config.k_lo is None else config.k_lo
+        k_hi = config.m - 1 if config.k_hi is None else config.k_hi
+        _require(0 <= k_lo <= k_hi <= config.m - 1,
+                 f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {config.m - 1}")
+        config = replace(config, k_lo=k_lo, k_hi=k_hi)
+    return config
+
+
+def _help(prog: str, command: str | None = None) -> str:
+    """A --help page, laid out 80 columns wide."""
+    import textwrap
+
+    def section(title: str, rows: list[tuple[str, str]]) -> list[str]:
+        indent = max(len(first) for first, _ in rows) + 4
+        lines = ["", f"{title}:"]
+        for first, text in rows:
+            wrapped = textwrap.wrap(text, 80 - indent) or [""]
+            lines.append(f"  {first:<{indent - 4}}  {wrapped[0]}")
+            lines += [" " * indent + line for line in wrapped[1:]]
+        return lines
+
+    if command is None:
+        doc, usage = _GROUP_DOC, f"{prog} [OPTIONS] COMMAND [ARGS]..."
+        options = [("--version", "Show the version and exit."), _HELP_ROW]
+    else:
+        doc, flags = _COMMANDS[command]
+        usage = f"{prog} {command} [OPTIONS]"
+        options = []
+        for flag, _, kind, default, text in flags:
+            extra = "" if default is None else (
+                "  [required]" if default is _REQUIRED else f"  [default: {default}]")
+            options.append((f"{flag} {_METAVARS[kind]}", text + extra))
+        options.append(_HELP_ROW)
+    lines = [f"Usage: {usage}"]
+    for paragraph in doc.split("\n\n"):
+        lines += [""] + textwrap.wrap(paragraph, 80, initial_indent="  ", subsequent_indent="  ")
+    lines += section("Options", options)
+    if command is None:
+        limit = 80 - 6 - max(map(len, _COMMANDS))
+        lines += section("Commands", [
+            (name, textwrap.shorten(_COMMANDS[name][0].split("\n\n")[0], limit,
+                                    placeholder="...", break_on_hyphens=False))
+            for name in sorted(_COMMANDS)])
+    return "\n".join(lines) + "\n"
+
+
+def _finish(config: RunConfig) -> int:
+    """Run ``config``, write its output and return the exit status."""
     try:
         with warnings.catch_warnings():  # e.g. a discarded cache line, as one plain line
-            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
             code, text = run(config)
     except TableViolationError as exc:
-        click.echo(f"TABLE VIOLATION (implementation bug): {exc}", err=True)
-        sys.exit(EXIT_BUG)
+        sys.stderr.write(f"TABLE VIOLATION (implementation bug): {exc}\n")
+        return EXIT_BUG
     except FloorSumError as exc:  # invalid input, divisibility or an oversize instance
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc))
     except OSError as exc:
         if exc.filename is None:  # the cache is the only file a command touches
             raise
-        click.echo(f"Error: cannot use cache file {config.cache_path}: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    click.echo(text, nl=False)
-    sys.exit(code)
+        sys.stderr.write(f"Error: cannot use cache file {config.cache_path}: {exc}\n")
+        return EXIT_USAGE
+    sys.stdout.write(text)
+    return code
 
 
-format_option = click.option("--format", "fmt", type=click.Choice(["human", "csv", "json"]),
-                             default="human", show_default=True, help="Output format.")
+def cli(args: list[str], prog: str = "floorsum") -> int:
+    """Run the command line ``args`` (without the program name) and return its
+    exit status; output goes to ``sys.stdout`` and ``sys.stderr``, and ``prog``
+    names the program in help and usage text."""
+    if not args:
+        sys.stderr.write(_help(prog))
+        return EXIT_USAGE
+    command = None
+    try:
+        group_switches = ("--version", "--help")
+        _, switched, rest = _scan(args, {}, group_switches, interspersed=False)
+        if not switched and rest and rest[0] not in _COMMANDS:
+            # a name after "--" that reads as a flag is read as one
+            _, switched, _ = _scan(rest, {}, group_switches, interspersed=False)
+        if switched:
+            version = switched[0] == "--version"
+            sys.stdout.write(f"floorsum, version {__version__}\n" if version else _help(prog))
+            return EXIT_OK
+        if not rest:
+            raise _UsageError("Missing command.")
+        if rest[0] not in _COMMANDS:
+            raise _UsageError(_suggest(f"No such command {rest[0]!r}.", rest[0], _COMMANDS))
+        command = rest[0]
+        config = _parse(command, rest[1:])
+        if config is None:
+            sys.stdout.write(_help(prog, command))
+            return EXIT_OK
+        return _finish(config)
+    except _UsageError as exc:
+        path = prog if command is None else f"{prog} {command}"
+        usage = f"{prog} [OPTIONS] COMMAND [ARGS]..." if command is None else f"{path} [OPTIONS]"
+        head = "" if exc.bare else f"Usage: {usage}\nTry '{path} --help' for help.\n\n"
+        sys.stderr.write(f"{head}Error: {exc}\n")
+        return EXIT_USAGE
 
 
-def search_options(command):
-    """--format, --workers and --cache, shared by every search-backed command."""
-    command = click.option("--cache", "cache_path", type=click.Path(dir_okay=False),
-                           default=None, envvar="FLOORSUM_CACHE",
-                           help="Search-result cache file (FLOORSUM_CACHE also works).")(command)
-    command = click.option("--workers", type=int, default=1, show_default=True,
-                           help="Parallel worker processes for the search engine.")(command)
-    return format_option(command)
-
-
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(__version__, prog_name="floorsum")
-def cli() -> None:
-    """Exact workbench for alternating floor-function sums S_m(A, K)."""
-
-
-@cli.command("eval")
-@click.option("--m", type=int, required=True, help="Modulus (>= 1).")
-@click.option("--a", required=True, help="Multiset, comma-separated (e.g. 2,3).")
-@click.option("--k", type=int, required=True, help="Prefix bound K, in [0, m-1].")
-@format_option
-def eval_cmd(**params) -> None:
-    """Evaluate S_m(A, K) by the closed form."""
-    config = RunConfig("eval", **_checked(params))
-    _require(0 <= config.k <= config.m - 1, f"--k must be in [0, {config.m - 1}], got {config.k}")
-    _finish(config)
-
-
-@cli.command("table")
-@click.option("--n", type=int, required=True, help="Arity (number of multiset elements).")
-@click.option("--m-max", type=int, required=True, help="Tabulate m = 1..m_max.")
-@search_options
-def table_cmd(**params) -> None:
-    """Max/min sequences of S_m over bounded instances, m = 1..m_max."""
-    _finish(RunConfig("table", **_checked(params)))
-
-
-@cli.command("search")
-@click.option("--n", type=int, required=True, help="Arity.")
-@click.option("--m", type=int, required=True, help="Modulus.")
-@click.option("--k-min", "k_lo", type=int, default=0, help="Low end of the K range.")
-@click.option("--k-max", "k_hi", type=int, default=None, help="High end of the K range.")
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True,
-              help="Maximum number of attaining sites to record per side.")
-@search_options
-def search_cmd(**params) -> None:
-    """Exhaustive extremal search over every bounded (A, K)."""
-    config = RunConfig("search", **_checked(params))
-    k_hi = config.m - 1 if config.k_hi is None else config.k_hi
-    _require(0 <= config.k_lo <= k_hi <= config.m - 1,
-             f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {config.m - 1}")
-    _finish(replace(config, k_hi=k_hi))
-
-
-@cli.command("verify-bounds")
-@click.option("--n", type=int, required=True, help="Arity.")
-@click.option("--m", type=int, required=True, help="Modulus.")
-@search_options
-def verify_bounds_cmd(**params) -> None:
-    """Search (n, m) exhaustively and compare against the known bounds.
-
-    Exits nonzero only if a proven bound is violated (an implementation
-    bug); a conjectured bound that is not attained is reported, not fatal.
-    """
-    _finish(RunConfig("verify-bounds", **_checked(params)))
-
-
-@cli.command("verify-conjecture")
-@click.option("--n", type=int, required=True, help="Arity (>= 4).")
-@click.option("--m", type=int, required=True, help="Modulus (must admit the predicted sites).")
-@search_options
-def verify_conjecture_cmd(**params) -> None:
-    """Check M(n) = m*f(n) and the predicted sites against full search."""
-    _finish(RunConfig("verify-conjecture", **_checked(params, n=4)))
-
-
-@cli.command("f-seq")
-@click.option("--n-max", type=int, required=True, help="Last index to produce (>= 2).")
-@format_option
-def f_seq_cmd(**params) -> None:
-    """Exact rational sequence f(2..n_max) from the ninth-order recurrence."""
-    _finish(RunConfig("f-seq", **_checked(params)))
-
-
-@cli.command("delta-scan")
-@click.option("--m", type=int, default=None, help="Scan a single modulus.")
-@click.option("--m-max", type=int, default=None, help="Scan every modulus 1..m_max.")
-@format_option
-def delta_scan_cmd(**params) -> None:
-    """Audit the two-variable difference against its case table.
-
-    Scans every legal (a1, a2, K) cell; any value/case mismatch aborts
-    with exit status 3.
-    """
-    _require((params["m"] is None) != (params["m_max"] is None),
-             "exactly one of --m / --m-max is required")
-    _finish(RunConfig("delta-scan", **_checked(params)))
+def _program_name() -> str:
+    """``python -m floorsum.cli`` when run with -m, else the script's file name."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    script = os.path.basename(sys.argv[0])
+    if not package:
+        return script
+    name = os.path.splitext(script)[0]
+    return f"python -m {package}" + ("" if name == "__main__" else f".{name}")
 
 
 def main() -> None:
     # Everything imported so far lives until exit: later collections and the
     # interpreter's teardown then skip it.
     gc.freeze()
-    cli()
+    try:
+        code = cli(sys.argv[1:], _program_name())
+        sys.stdout.flush()
+    except (EOFError, KeyboardInterrupt):
+        sys.stderr.write("\nAborted!\n")
+        code = 1
+    except BrokenPipeError:  # the reader has gone, as under `| head`: exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
-"""Shared enumeration, hypothesis strategies and cross-check helpers for the test suite."""
+"""Shared enumeration, hypothesis strategies, cross-check helpers and the in-process
+CLI runner for the test suite."""
 
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -7,6 +11,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from floorsum import DomainError, ExtremeRecord, Instance, eval_closed
+from floorsum.cli import cli
 from floorsum.core import _signed_subset_sums
 from floorsum.search import enumerate_multisets
 
@@ -111,3 +116,51 @@ def reference_extremes(space) -> ExtremeRecord:
         max_value=max_value, min_value=min_value,
         max_sites=tuple(max_sites[:space.cap]), min_sites=tuple(min_sites[:space.cap]),
         max_count=len(max_sites), min_count=len(min_sites))
+
+
+@dataclass(frozen=True)
+class Invocation:
+    """What one in-process CLI run wrote and returned."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode()
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode()
+
+    @property
+    def output(self) -> str:
+        """Both streams, stdout first."""
+        return self.stdout + self.stderr
+
+
+def invoke(argv: Sequence[str], env: dict | None = None) -> Invocation:
+    """Run the CLI in process on ``argv`` under the program name ``floorsum``.
+
+    ``env`` sets environment variables for the run; a value of None unsets one.
+    """
+    saved = {name: os.environ.get(name) for name in env or {}}
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+    try:
+        _set_environ(env or {})
+        with redirect_stdout(streams[0]), redirect_stderr(streams[1]):
+            code = cli(list(argv))
+    finally:
+        _set_environ(saved)
+    for stream in streams:
+        stream.flush()
+    return Invocation(code, *(stream.buffer.getvalue() for stream in streams))
+
+
+def _set_environ(values: dict) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value

@@ -1,4 +1,4 @@
-"""CLI and cache tests, driven through click's CliRunner."""
+"""CLI and cache tests, the CLI run in process through ``helpers.invoke``."""
 
 import json
 import multiprocessing
@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from floorsum import (
     CacheWarning,
@@ -26,32 +25,25 @@ from floorsum import (
     sequence_table,
 )
 import floorsum.cli
-from floorsum.cli import RunConfig, cli, run
+from floorsum.cli import RunConfig, run
 from floorsum.core import eval_closed_all_k
 from floorsum.symmetry import CASE_VALUES, delta
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(cli, list(args), env=env, catch_exceptions=False)
+from helpers import invoke
 
 
 # ------------------------------------------------------------------ eval
 
 
-def test_eval_human(runner):
-    result = invoke(runner, "eval", "--m", "5", "--a", "2,3", "--k", "1")
+def test_eval_human():
+    result = invoke(["eval", "--m", "5", "--a", "2,3", "--k", "1"])
     assert result.exit_code == 0
     assert result.output == "2\n"
 
 
-def test_eval_json(runner):
-    result = invoke(runner, "eval", "--m", "5", "--a", "2,3", "--k", "1",
-                    "--format", "json")
+def test_eval_json():
+    result = invoke(["eval", "--m", "5", "--a", "2,3", "--k", "1",
+                     "--format", "json"])
     payload = json.loads(result.output)
     assert set(payload) == {"config", "result"}
     assert payload["config"]["command"] == "eval"
@@ -59,24 +51,24 @@ def test_eval_json(runner):
     assert payload["result"]["value"] == 2
 
 
-def test_eval_csv(runner):
-    result = invoke(runner, "eval", "--m", "5", "--a", "2,3", "--k", "1",
-                    "--format", "csv")
+def test_eval_csv():
+    result = invoke(["eval", "--m", "5", "--a", "2,3", "--k", "1",
+                     "--format", "csv"])
     assert result.output.splitlines() == ["m,a,k,value", '5,"3,2",1,2']
 
 
-def test_eval_usage_errors_name_the_flag(runner):
-    result = invoke(runner, "eval", "--m", "5", "--a", "2,3", "--k", "7")
+def test_eval_usage_errors_name_the_flag():
+    result = invoke(["eval", "--m", "5", "--a", "2,3", "--k", "7"])
     assert result.exit_code == 2 and "--k" in result.output
-    result = invoke(runner, "eval", "--m", "0", "--a", "2", "--k", "0")
+    result = invoke(["eval", "--m", "0", "--a", "2", "--k", "0"])
     assert result.exit_code == 2 and "--m" in result.output
-    result = invoke(runner, "eval", "--m", "5", "--a", "2;3", "--k", "1")
+    result = invoke(["eval", "--m", "5", "--a", "2;3", "--k", "1"])
     assert result.exit_code == 2 and "--a" in result.output
-    result = invoke(runner, "eval", "--m", "5", "--a", "", "--k", "1")
+    result = invoke(["eval", "--m", "5", "--a", "", "--k", "1"])
     assert result.exit_code == 2 and "--a" in result.output
 
 
-def test_every_floorsum_error_is_a_usage_error(runner, monkeypatch):
+def test_every_floorsum_error_is_a_usage_error(monkeypatch):
     class NewError(FloorSumError):
         pass
 
@@ -84,7 +76,7 @@ def test_every_floorsum_error_is_a_usage_error(runner, monkeypatch):
         raise NewError("no such value")
 
     monkeypatch.setattr(floorsum.cli, "eval_closed", refuse)
-    result = runner.invoke(cli, ["eval", "--m", "5", "--a", "2,3", "--k", "1"])
+    result = invoke(["eval", "--m", "5", "--a", "2,3", "--k", "1"])
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr.endswith("Error: no such value\n")
     assert "Traceback" not in result.output
@@ -93,8 +85,8 @@ def test_every_floorsum_error_is_a_usage_error(runner, monkeypatch):
 # ----------------------------------------------------------------- table
 
 
-def test_table_csv_matches_published_sequences(runner):
-    result = invoke(runner, "table", "--n", "4", "--m-max", "12", "--format", "csv")
+def test_table_csv_matches_published_sequences():
+    result = invoke(["table", "--n", "4", "--m-max", "12", "--format", "csv"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "sequence," + ",".join(str(m) for m in range(1, 13))
@@ -102,8 +94,8 @@ def test_table_csv_matches_published_sequences(runner):
     assert lines[2] == "min,0,0,-3,-2,-3,-6,-5,-6,-9,-8,-9,-12"
 
 
-def test_table_json(runner):
-    result = invoke(runner, "table", "--n", "1", "--m-max", "5", "--format", "json")
+def test_table_json():
+    result = invoke(["table", "--n", "1", "--m-max", "5", "--format", "json"])
     payload = json.loads(result.output)
     assert payload["result"]["max"] == [0, 1, 2, 3, 4]
     assert payload["result"]["min"] == [0, 0, 0, 0, 0]
@@ -112,103 +104,102 @@ def test_table_json(runner):
 # ---------------------------------------------------------------- search
 
 
-def test_search_json_round_trips_the_record(runner):
-    result = invoke(runner, "search", "--n", "4", "--m", "9", "--format", "json")
+def test_search_json_round_trips_the_record():
+    result = invoke(["search", "--n", "4", "--m", "9", "--format", "json"])
     payload = json.loads(result.output)
     record = ExtremeRecord.from_dict(payload["result"])
     assert record == extremes(SearchSpace(4, 9))
     assert payload["result"]["min_sites"] == [[[6, 6, 6, 6], 5], [[3, 3, 3, 3], 2]]
 
 
-def test_search_human_mentions_extremes_and_sites(runner):
-    result = invoke(runner, "search", "--n", "4", "--m", "9")
+def test_search_human_mentions_extremes_and_sites():
+    result = invoke(["search", "--n", "4", "--m", "9"])
     assert "max 15" in result.output and "min -9" in result.output
     assert "A=3,3,3,3 K=2" in result.output
 
 
-def test_search_k_range_flags(runner):
-    result = invoke(runner, "search", "--n", "2", "--m", "8",
-                    "--k-min", "7", "--k-max", "7", "--format", "json")
+def test_search_k_range_flags():
+    result = invoke(["search", "--n", "2", "--m", "8",
+                     "--k-min", "7", "--k-max", "7", "--format", "json"])
     payload = json.loads(result.output)
     assert payload["result"]["max_value"] == payload["result"]["min_value"] == 0
-    result = invoke(runner, "search", "--n", "2", "--m", "8", "--k-min", "5",
-                    "--k-max", "3")
+    result = invoke(["search", "--n", "2", "--m", "8", "--k-min", "5",
+                     "--k-max", "3"])
     assert result.exit_code == 2
 
 
-def test_search_refuses_an_oversize_space_once(runner):
+def test_search_refuses_an_oversize_space_once():
     # (1, ..., 1) at K = 1 is the widest cell of n = 57, m = 2; at --workers 2
     # the refusal comes before any pool starts
     message = ("Error: worst-case intermediate 16717361816799281152 exceeds 64-bit range "
                "(n=57, sum(A)=57, K=1)\n")
     for workers in ("1", "2"):
-        result = invoke(runner, "search", "--n", "57", "--m", "2", "--workers", workers)
+        result = invoke(["search", "--n", "57", "--m", "2", "--workers", workers])
         assert result.exit_code == 2
         assert result.stdout == "" and result.stderr.endswith(message)
-    result = invoke(runner, "search", "--n", "56", "--m", "2")
+    result = invoke(["search", "--n", "56", "--m", "2"])
     assert result.exit_code == 0 and result.stderr == ""
 
 
-def test_oversize_space_exits_before_its_cache_file_is_created(runner, tmp_path):
+def test_oversize_space_exits_before_its_cache_file_is_created(tmp_path):
     message = ("Error: worst-case intermediate 334107428663027398868992 exceeds 64-bit range "
                "(n=70, sum(A)=140, K=2)\n")
     path = tmp_path / "new.jsonl"
-    result = invoke(runner, "search", "--n", "70", "--m", "3", "--cache", str(path))
+    result = invoke(["search", "--n", "70", "--m", "3", "--cache", str(path)])
     assert result.exit_code == 2 and result.stderr.endswith(message)
     assert not path.exists()
     for argv in (["table", "--n", "70", "--m-max", "3"], ["verify-bounds", "--n", "70", "--m", "3"]):
-        result = invoke(runner, *argv, "--cache", str(path))
+        result = invoke([*argv, "--cache", str(path)])
         assert result.exit_code == 2 and "worst-case intermediate" in result.stderr, argv
         assert not path.exists(), argv
 
 
-def test_format_stability(runner):
+def test_format_stability():
     for fmt in ("csv", "json"):
-        first = invoke(runner, "search", "--n", "3", "--m", "7", "--format", fmt)
-        second = invoke(runner, "search", "--n", "3", "--m", "7", "--format", fmt)
+        first = invoke(["search", "--n", "3", "--m", "7", "--format", fmt])
+        second = invoke(["search", "--n", "3", "--m", "7", "--format", fmt])
         assert first.output == second.output
-    first = invoke(runner, "table", "--n", "2", "--m-max", "9", "--format", "csv")
-    second = invoke(runner, "table", "--n", "2", "--m-max", "9", "--format", "csv")
+    first = invoke(["table", "--n", "2", "--m-max", "9", "--format", "csv"])
+    second = invoke(["table", "--n", "2", "--m-max", "9", "--format", "csv"])
     assert first.output == second.output
 
 
 # ---------------------------------------------------------------- verify
 
 
-def test_verify_bounds_cli(runner):
-    result = invoke(runner, "verify-bounds", "--n", "4", "--m", "12")
+def test_verify_bounds_cli():
+    result = invoke(["verify-bounds", "--n", "4", "--m", "12"])
     assert result.exit_code == 0
     assert "holds-with-equality" in result.output
-    result = invoke(runner, "verify-bounds", "--n", "2", "--m", "10",
-                    "--format", "csv")
+    result = invoke(["verify-bounds", "--n", "2", "--m", "10",
+                     "--format", "csv"])
     lines = result.output.splitlines()
     assert lines[0] == "side,formula,status,bound,extreme,verdict"
     assert len(lines) == 3
 
 
-def test_verify_conjecture_cli_pass_and_divisibility(runner):
-    result = invoke(runner, "verify-conjecture", "--n", "5", "--m", "6")
+def test_verify_conjecture_cli_pass_and_divisibility():
+    result = invoke(["verify-conjecture", "--n", "5", "--m", "6"])
     assert result.exit_code == 0 and "PASS" in result.output
-    result = invoke(runner, "verify-conjecture", "--n", "5", "--m", "5")
+    result = invoke(["verify-conjecture", "--n", "5", "--m", "5"])
     assert result.exit_code == 2 and "multiple of 3" in result.output
 
 
-def test_verify_conjecture_checks_divisibility_before_searching(runner, tmp_path,
-                                                               monkeypatch):
+def test_verify_conjecture_checks_divisibility_before_searching(tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched before checking divisibility")
 
     monkeypatch.setattr("floorsum.cache.extremes", no_search)
     monkeypatch.setattr("floorsum.conjecture.extremes", no_search)
     path = tmp_path / "cache.jsonl"
-    result = invoke(runner, "verify-conjecture", "--n", "6", "--m", "17", "--cache", str(path))
+    result = invoke(["verify-conjecture", "--n", "6", "--m", "17", "--cache", str(path)])
     assert result.exit_code == 2 and "multiple of" in result.output
     assert not path.exists()
 
 
-def test_verify_conjecture_json(runner):
-    result = invoke(runner, "verify-conjecture", "--n", "6", "--m", "15",
-                    "--format", "json")
+def test_verify_conjecture_json():
+    result = invoke(["verify-conjecture", "--n", "6", "--m", "15",
+                     "--format", "json"])
     payload = json.loads(result.output)
     assert payload["result"]["passed"] is True
     assert payload["result"]["search_value"] == -45
@@ -219,8 +210,8 @@ def test_verify_conjecture_json(runner):
 # ----------------------------------------------------------------- f-seq
 
 
-def test_f_seq_json(runner):
-    result = invoke(runner, "f-seq", "--n-max", "12", "--format", "json")
+def test_f_seq_json():
+    result = invoke(["f-seq", "--n-max", "12", "--format", "json"])
     payload = json.loads(result.output)
     assert payload["result"]["start"] == 2
     assert payload["result"]["f"][:9] == [
@@ -229,8 +220,8 @@ def test_f_seq_json(runner):
     assert payload["result"]["f"][9] == "148"
 
 
-def test_f_seq_csv_two_integer_columns(runner):
-    result = invoke(runner, "f-seq", "--n-max", "4", "--format", "csv")
+def test_f_seq_csv_two_integer_columns():
+    result = invoke(["f-seq", "--n-max", "4", "--format", "csv"])
     assert result.output.splitlines() == [
         "n,numerator,denominator", "2,0,1", "3,1,3", "4,-1,1",
     ]
@@ -239,8 +230,8 @@ def test_f_seq_csv_two_integer_columns(runner):
 # ------------------------------------------------------------- delta-scan
 
 
-def test_delta_scan_single_m(runner):
-    result = invoke(runner, "delta-scan", "--m", "10", "--format", "csv")
+def test_delta_scan_single_m():
+    result = invoke(["delta-scan", "--m", "10", "--format", "csv"])
     lines = result.output.splitlines()
     assert lines[0] == "m,cells,case1,case2,case3,case4,sorted_case2"
     fields = lines[1].split(",")
@@ -248,9 +239,9 @@ def test_delta_scan_single_m(runner):
     assert fields[6] == "0"  # sorted instances never hit case 2
 
 
-def test_delta_scan_flag_validation(runner):
-    assert invoke(runner, "delta-scan").exit_code == 2
-    assert invoke(runner, "delta-scan", "--m", "5", "--m-max", "6").exit_code == 2
+def test_delta_scan_flag_validation():
+    assert invoke(["delta-scan"]).exit_code == 2
+    assert invoke(["delta-scan", "--m", "5", "--m-max", "6"]).exit_code == 2
 
 
 def test_delta_scan_matches_delta_cell_by_cell():
@@ -270,21 +261,21 @@ def test_delta_scan_matches_delta_cell_by_cell():
     assert code == 0 and json.loads(text)["result"]["scans"] == expected
 
 
-def test_delta_scan_reports_delta_own_violation(runner, monkeypatch):
+def test_delta_scan_reports_delta_own_violation(monkeypatch):
     monkeypatch.setitem(CASE_VALUES, 3, 0)
-    result = runner.invoke(cli, ["delta-scan", "--m", "6"])
+    result = invoke(["delta-scan", "--m", "6"])
     assert result.exit_code == 3 and result.stdout == ""
     assert result.stderr == ("TABLE VIOLATION (implementation bug): "
                              "delta(6, 2, 4, 1) = 1 but case 3 requires 0\n")
 
 
-def test_delta_scan_reports_a_sweep_that_disagrees_with_delta(runner, monkeypatch):
+def test_delta_scan_reports_a_sweep_that_disagrees_with_delta(monkeypatch):
     def off_by_one(m, a):  # wrong at every K of the pair {2, 1}
         values = eval_closed_all_k(m, a)
         return [v + 1 for v in values] if sorted(a) == [1, 2] else values
 
     monkeypatch.setattr(floorsum.cli, "eval_closed_all_k", off_by_one)
-    result = runner.invoke(cli, ["delta-scan", "--m", "6"])
+    result = invoke(["delta-scan", "--m", "6"])
     # The first cell to read the pair is (0, 2, 1), as {a1 + 1, a2} = {1, 2} at K - 1.
     true_value = delta(6, 0, 2, 1).value
     assert result.exit_code == 3
@@ -323,20 +314,20 @@ FIRST_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, error", FIRST_ERRORS)
-def test_several_bad_flags_report_one_fixed_first_error(runner, argv, error):
-    result = runner.invoke(cli, argv.split())
+def test_several_bad_flags_report_one_fixed_first_error(argv, error):
+    result = invoke(argv.split())
     assert result.exit_code == 2
     assert result.stderr.splitlines()[-1] == f"Error: {error}"
 
 
-def test_attached_and_repeated_flags_read_as_the_plain_form(runner):
-    plain = invoke(runner, "search", "--n", "3", "--m", "7", "--format", "csv")
+def test_attached_and_repeated_flags_read_as_the_plain_form():
+    plain = invoke(["search", "--n", "3", "--m", "7", "--format", "csv"])
     assert plain.exit_code == 0
     for argv in (["search", "--n=3", "--m=7", "--format=csv"],
                  ["search", "--n", "9", "--m", "7", "--n", "3", "--format", "json",
                   "--format", "csv"],
                  ["search", "--n", "x", "--m", "7", "--format", "csv", "--n=3"]):
-        result = invoke(runner, *argv)
+        result = invoke(argv)
         assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, ""), argv
 
 
@@ -386,14 +377,14 @@ RUN_QUERIES = [
 
 
 @pytest.mark.parametrize("argv, fields", RUN_QUERIES)
-def test_run_returns_the_cli_exit_code_and_stdout(runner, argv, fields):
-    result = invoke(runner, *argv.split())
+def test_run_returns_the_cli_exit_code_and_stdout(argv, fields):
+    result = invoke(argv.split())
     assert run(RunConfig(**fields)) == (result.exit_code, result.stdout)
 
 
-def test_run_returns_the_exit_code_of_a_proven_bound_violation(runner, tmp_path):
+def test_run_returns_the_exit_code_of_a_proven_bound_violation(tmp_path):
     path = _poison(tmp_path, SearchSpace(2, 10), max_value=99)
-    result = invoke(runner, "verify-bounds", "--n", "2", "--m", "10", "--cache", path)
+    result = invoke(["verify-bounds", "--n", "2", "--m", "10", "--cache", path])
     config = RunConfig("verify-bounds", n=2, m=10, cache_path=path)
     assert run(config) == (result.exit_code, result.stdout) and result.exit_code == 3
 
@@ -513,22 +504,22 @@ def test_cache_discards_a_stored_space_that_search_space_refuses(tmp_path):
         assert len(path.read_text().splitlines()) == 2  # recomputed and appended
 
 
-def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(runner, tmp_path):
+def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(tmp_path):
     path = tmp_path / "F"
     path.write_text('{"key": {"n": 3}, "record": {}}\n')
-    result = invoke(runner, "search", "--n", "3", "--m", "5", "--cache", str(path))
+    result = invoke(["search", "--n", "3", "--m", "5", "--cache", str(path)])
     assert result.exit_code == 0
     assert result.stderr == f"warning: discarding corrupt cache entry at {path}:1: 'n'\n"
     assert "cache.py" not in result.stderr
-    assert result.stdout == invoke(runner, "search", "--n", "3", "--m", "5").stdout
+    assert result.stdout == invoke(["search", "--n", "3", "--m", "5"]).stdout
 
 
-def test_cli_discards_a_cache_line_that_is_not_utf8(runner, tmp_path):
+def test_cli_discards_a_cache_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "F"
     path.write_bytes(b"\xff\xfe garbage\n")
-    result = invoke(runner, "search", "--n", "3", "--m", "5", "--cache", str(path))
+    result = invoke(["search", "--n", "3", "--m", "5", "--cache", str(path)])
     assert result.exit_code == 0
-    assert result.stdout == invoke(runner, "search", "--n", "3", "--m", "5").stdout
+    assert result.stdout == invoke(["search", "--n", "3", "--m", "5"]).stdout
     [line] = result.stderr.splitlines()
     assert line.startswith(f"warning: discarding corrupt cache entry at {path}:1: ")
 
@@ -596,52 +587,52 @@ def test_cached_extremes_serves_stored_records(tmp_path):
     assert cached_extremes(space, cache=cache).max_value == 999
 
 
-def test_cli_cache_flag_and_env(runner, tmp_path):
+def test_cli_cache_flag_and_env(tmp_path):
     flag_path = tmp_path / "flag.jsonl"
     env_path = tmp_path / "env.jsonl"
     args = ("search", "--n", "3", "--m", "6", "--format", "json")
-    first = invoke(runner, *args, "--cache", str(flag_path))
+    first = invoke([*args, "--cache", str(flag_path)])
     assert flag_path.exists()
-    second = invoke(runner, *args, "--cache", str(flag_path))
+    second = invoke([*args, "--cache", str(flag_path)])
     assert first.output == second.output  # cache transparency
-    third = invoke(runner, *args, env={"FLOORSUM_CACHE": str(env_path)})
+    third = invoke(args, env={"FLOORSUM_CACHE": str(env_path)})
     assert env_path.exists()
     assert third.output == first.output
     # worker count is an execution detail, not part of the result
-    parallel = invoke(runner, *args, "--workers", "2")
+    parallel = invoke([*args, "--workers", "2"])
     assert parallel.output == first.output
 
 
-def test_empty_floorsum_cache_means_no_cache(runner, tmp_path, monkeypatch):
+def test_empty_floorsum_cache_means_no_cache(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ("search", "--n", "3", "--m", "6")
-    result = invoke(runner, *args, env={"FLOORSUM_CACHE": ""})
+    result = invoke(args, env={"FLOORSUM_CACHE": ""})
     assert result.exit_code == 0 and result.stderr == ""
-    assert result.stdout == invoke(runner, *args, env={"FLOORSUM_CACHE": None}).stdout
+    assert result.stdout == invoke(args, env={"FLOORSUM_CACHE": None}).stdout
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_cache_path_naming_a_directory_is_a_usage_error(runner, tmp_path):
+def test_a_cache_path_naming_a_directory_is_a_usage_error(tmp_path):
     message = f"Error: Invalid value for '--cache': File {str(tmp_path)!r} is a directory.\n"
     args = ("search", "--n", "3", "--m", "6")
-    for result in (invoke(runner, *args, "--cache", str(tmp_path)),
-                   invoke(runner, *args, env={"FLOORSUM_CACHE": str(tmp_path)})):
+    for result in (invoke([*args, "--cache", str(tmp_path)]),
+                   invoke(args, env={"FLOORSUM_CACHE": str(tmp_path)})):
         assert result.exit_code == 2 and result.stdout == ""
         assert result.stderr.endswith(message)
 
 
-def test_cli_cache_hit_is_actually_used(runner, tmp_path):
+def test_cli_cache_hit_is_actually_used(tmp_path):
     path = tmp_path / "c.jsonl"
     space = SearchSpace(2, 6)
     real = extremes(space)
     cache = ResultCache(path)
     cache.put(space, ExtremeRecord.from_dict({**real.to_dict(), "max_value": 777}))
-    result = invoke(runner, "search", "--n", "2", "--m", "6", "--format", "json",
-                    "--cache", str(path))
+    result = invoke(["search", "--n", "2", "--m", "6", "--format", "json",
+                     "--cache", str(path)])
     assert json.loads(result.output)["result"]["max_value"] == 777
 
 
-def test_cli_refuses_an_unusable_cache_path(runner, tmp_path, monkeypatch):
+def test_cli_refuses_an_unusable_cache_path(tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched before trying the cache path")
 
@@ -649,29 +640,34 @@ def test_cli_refuses_an_unusable_cache_path(runner, tmp_path, monkeypatch):
     blocker = tmp_path / "F"
     blocker.write_text("")
     for path in (blocker / "x", blocker / "x" / "y"):  # a regular file stands in a directory's place
-        result = invoke(runner, "search", "--n", "12", "--m", "14", "--cache", str(path))
+        result = invoke(["search", "--n", "12", "--m", "14", "--cache", str(path)])
         assert result.exit_code == 2 and result.stdout == ""
         [line] = result.stderr.splitlines()
         assert line.startswith(f"Error: cannot use cache file {path}: ")
     assert blocker.read_text() == ""
 
 
-def test_a_table_of_quick_searches_starts_no_pool(runner, monkeypatch):
+def test_a_table_of_quick_searches_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a pool for a search that ends before the limit")
 
-    serial = invoke(runner, "table", "--n", "4", "--m-max", "10", "--workers", "1")
+    serial = invoke(["table", "--n", "4", "--m-max", "10", "--workers", "1"])
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    parallel = invoke(runner, "table", "--n", "4", "--m-max", "10", "--workers", "2")
+    parallel = invoke(["table", "--n", "4", "--m-max", "10", "--workers", "2"])
     assert (parallel.exit_code, parallel.output) == (0, serial.output)
+
+
+# Modules a query's start-up must not load: the pool's, a parser library's, and
+# those of the help and error paths.
+UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib"]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", "import floorsum.cli, sys; print('multiprocessing' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    code = f"import floorsum.cli, sys; print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 # Only the process entry point freezes the GC; a library caller's heap is its own.
@@ -732,16 +728,16 @@ def _poison(tmp_path, space, **overrides):
     return str(path)
 
 
-def test_proven_bound_violation_is_fatal(runner, tmp_path):
+def test_proven_bound_violation_is_fatal(tmp_path):
     path = _poison(tmp_path, SearchSpace(2, 10), max_value=99)
-    result = invoke(runner, "verify-bounds", "--n", "2", "--m", "10",
-                    "--cache", str(path))
+    result = invoke(["verify-bounds", "--n", "2", "--m", "10",
+                     "--cache", str(path)])
     assert result.exit_code == 3
     assert "VIOLATED" in result.output and "witnesses" in result.output
     assert "A=" in result.output  # the witnessing (A, K) is printed
 
 
-def test_violation_witnesses_come_from_the_proven_side(runner, tmp_path):
+def test_violation_witnesses_come_from_the_proven_side(tmp_path):
     cases = (
         # (4, 12): only the upper side is proven, so breaking both lists the
         # max sites, not the conjectured side's min sites
@@ -754,7 +750,7 @@ def test_violation_witnesses_come_from_the_proven_side(runner, tmp_path):
     for n, m, overrides, side, first in cases:
         space = SearchSpace(n, m)
         path = _poison(tmp_path / f"{n}-{m}", space, **overrides)
-        result = invoke(runner, "verify-bounds", "--n", str(n), "--m", str(m), "--cache", path)
+        result = invoke(["verify-bounds", "--n", str(n), "--m", str(m), "--cache", path])
         assert result.exit_code == 3, (n, m)
         sites = getattr(extremes(space), f"{side}_sites")
         witnesses = result.stdout.split("witnesses:\n")[1].splitlines()
@@ -762,9 +758,9 @@ def test_violation_witnesses_come_from_the_proven_side(runner, tmp_path):
         assert witnesses[0] == first, (n, m)
 
 
-def test_conjecture_failure_is_reported_not_fatal(runner, tmp_path):
+def test_conjecture_failure_is_reported_not_fatal(tmp_path):
     path = _poison(tmp_path, SearchSpace(5, 6), max_value=13, max_count=1)
-    result = invoke(runner, "verify-conjecture", "--n", "5", "--m", "6",
-                    "--cache", str(path))
+    result = invoke(["verify-conjecture", "--n", "5", "--m", "6",
+                     "--cache", str(path)])
     assert result.exit_code == 0
     assert "FAILED" in result.output and "MISMATCH" in result.output

@@ -14,10 +14,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from floorsum import ExtremeRecord, ResultCache, SearchSpace, extremes
-from floorsum.cli import cli
+
+from helpers import invoke
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,10 +115,9 @@ def _invoke(name: str, directory: Path):
     argv, _, poison = CASES[name]
     if poison is not None:
         argv = argv + ["--cache", _poisoned_cache(directory, poison)]
-    # Fixed program name and terminal width keep --help output independent
-    # of how and where the suite runs; an inherited FLOORSUM_CACHE is dropped.
-    return CliRunner().invoke(cli, argv, prog_name="floorsum", terminal_width=80,
-                              env={"FLOORSUM_CACHE": None})
+    # ``invoke`` names the program floorsum however the suite runs; an
+    # inherited FLOORSUM_CACHE is dropped.
+    return invoke(argv, env={"FLOORSUM_CACHE": None})
 
 
 def _golden(name: str, suffix: str) -> bytes:
