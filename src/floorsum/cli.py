@@ -387,6 +387,7 @@ def _scan(args: list[str], valued, switches: tuple[str, ...],
 
 
 def _convert(flag: str, kind: str, text: str):
+    """A flag's value from its text, as its kind reads it."""
     if kind == "int":
         try:
             return int(text)
@@ -439,10 +440,11 @@ def _checked(command: str, params: dict) -> dict:
 def _parse(command: str, args: list[str]) -> RunConfig | None:
     """``command``'s RunConfig from its arguments, or None if they ask for help.
 
-    The first error wins, in this order: an unreadable argument; the flags
-    given, converted in the order first given (a repeated flag's last value
-    stands); the required flags left out, in table order; extra arguments;
-    then each command's rules across its flags and the floors.
+    The first error wins, in this order: an unknown flag or one missing its
+    value; the flags given, converted in the order first given (a repeated
+    flag's last value stands); the required flags left out, in table order;
+    extra arguments; then each command's rules across its flags and the
+    floors.
     """
     table = {row[0]: row for row in _COMMANDS[command][1]}
     given, switched, extra = _scan(args, table, ("--help",))
@@ -479,6 +481,12 @@ def _parse(command: str, args: list[str]) -> RunConfig | None:
     return config
 
 
+def _usage(prog: str, command: str | None) -> str:
+    if command is None:
+        return f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    return f"{prog} {command} [OPTIONS]"
+
+
 def _help(prog: str, command: str | None = None) -> str:
     """A --help page, laid out 80 columns wide."""
     import textwrap
@@ -493,18 +501,16 @@ def _help(prog: str, command: str | None = None) -> str:
         return lines
 
     if command is None:
-        doc, usage = _GROUP_DOC, f"{prog} [OPTIONS] COMMAND [ARGS]..."
-        options = [("--version", "Show the version and exit."), _HELP_ROW]
+        doc, options = _GROUP_DOC, [("--version", "Show the version and exit."), _HELP_ROW]
     else:
         doc, flags = _COMMANDS[command]
-        usage = f"{prog} {command} [OPTIONS]"
         options = []
         for flag, _, kind, default, text in flags:
             extra = "" if default is None else (
                 "  [required]" if default is _REQUIRED else f"  [default: {default}]")
             options.append((f"{flag} {_METAVARS[kind]}", text + extra))
         options.append(_HELP_ROW)
-    lines = [f"Usage: {usage}"]
+    lines = [f"Usage: {_usage(prog, command)}"]
     for paragraph in doc.split("\n\n"):
         lines += [""] + textwrap.wrap(paragraph, 80, initial_indent="  ", subsequent_indent="  ")
     lines += section("Options", options)
@@ -566,10 +572,10 @@ def cli(args: list[str], prog: str = "floorsum") -> int:
             return EXIT_OK
         return _finish(config)
     except _UsageError as exc:
-        path = prog if command is None else f"{prog} {command}"
-        usage = f"{prog} [OPTIONS] COMMAND [ARGS]..." if command is None else f"{path} [OPTIONS]"
-        head = "" if exc.bare else f"Usage: {usage}\nTry '{path} --help' for help.\n\n"
-        sys.stderr.write(f"{head}Error: {exc}\n")
+        if not exc.bare:
+            path = prog if command is None else f"{prog} {command}"
+            sys.stderr.write(f"Usage: {_usage(prog, command)}\nTry '{path} --help' for help.\n\n")
+        sys.stderr.write(f"Error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -331,6 +331,25 @@ def test_attached_and_repeated_flags_read_as_the_plain_form():
         assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, ""), argv
 
 
+# Command lines at the edges of the parser: (argv, exit status, stdout, last stderr line).
+PARSER_EDGES = [
+    (["--"], 2, "", "Error: Missing command."),
+    (["--", "--version"], 0, f"floorsum, version {floorsum.__version__}\n", None),
+    (["--version", "eval", "--bogus"], 0, f"floorsum, version {floorsum.__version__}\n", None),
+    (["--version=1"], 2, "", "Error: Option '--version' does not take a value."),
+    (["eval", "-hx"], 2, "", "Error: No such option '-x'."),
+    (["eval", "--m", "5", "--a", "2", "--k", "1", "--", "--m"], 2, "",
+     "Error: Got unexpected extra argument (--m)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, error", PARSER_EDGES)
+def test_parser_edges(argv, code, stdout, error):
+    result = invoke(argv)
+    assert (result.exit_code, result.stdout) == (code, stdout)
+    assert result.stderr.splitlines()[-1:] == ([error] if error else [])
+
+
 def _started(argv, stdout=subprocess.PIPE):
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
@@ -664,7 +683,8 @@ UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib"]
 
 def test_importing_the_cli_does_not_import_multiprocessing():
     src = Path(__file__).resolve().parent.parent / "src"
-    code = f"import floorsum.cli, sys; print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])"
+    code = ("import floorsum.cli, sys\n"
+            f"print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
