@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
@@ -145,22 +146,14 @@ def invoke(argv: Sequence[str], env: dict | None = None) -> Invocation:
 
     ``env`` sets environment variables for the run; a value of None unsets one.
     """
-    saved = {name: os.environ.get(name) for name in env or {}}
-    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
-    try:
-        _set_environ(env or {})
-        with redirect_stdout(streams[0]), redirect_stderr(streams[1]):
-            code = cli(list(argv))
-    finally:
-        _set_environ(saved)
-    for stream in streams:
-        stream.flush()
-    return Invocation(code, *(stream.buffer.getvalue() for stream in streams))
-
-
-def _set_environ(values: dict) -> None:
-    for name, value in values.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        for name, value in (env or {}).items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        code = cli(list(argv))
+    out.flush()
+    err.flush()
+    return Invocation(code, out.buffer.getvalue(), err.buffer.getvalue())
