@@ -1,13 +1,13 @@
 """Append-only result cache for long searches, and the tables built on it.
 
-One JSON record per line, keyed by (n, m, k_range, cap).  Lines that do
-not decode or parse, do not round-trip into an ExtremeRecord of plain
-ints, hold a record for another space than their key, or hold one for a
-space that ``SearchSpace`` refuses, are discarded with one warning each
-when the file is read, and the search reruns; a cached hit is
-indistinguishable in content from a fresh computation.
-``put`` refuses such a record before writing it.  The file is read once
-per ``ResultCache`` and lookups are answered from memory.
+One JSON record per line, keyed by (n, m, k_range, cap).  A line that does
+not decode or parse, that ``ExtremeRecord.from_dict`` refuses (a field that
+is not a plain int, or a space that ``SearchSpace`` refuses), or whose
+record's space is not its key, is discarded with one warning when the file
+is read, and the search reruns; a cached hit is indistinguishable in content
+from a fresh computation.  ``put`` refuses a record for another space before
+writing it.  The file is read once per ``ResultCache`` and lookups are
+answered from memory, indexed by each record's space.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class CacheWarning(UserWarning):
     """A cache entry was unreadable, invalid or stored under another key; it has been ignored."""
 
 
-def _key(space: SearchSpace | ExtremeRecord) -> dict:
+def _key(space: SearchSpace) -> dict:
     return {
         "n": space.n,
         "m": space.m,
@@ -35,16 +35,9 @@ def _key(space: SearchSpace | ExtremeRecord) -> dict:
 
 
 def _check(record: ExtremeRecord, key: dict) -> None:
-    """Raise DomainError unless ``record`` is what a fresh run stores under ``key``:
-    k_range a pair, every number a plain int, and the record's own key ``key``."""
-    sites = record.max_sites + record.min_sites
-    numbers = (record.n, record.m, record.cap, record.max_value, record.min_value,
-               record.max_count, record.min_count, *record.k_range,
-               *(k for _, k in sites), *(v for a, _ in sites for v in a))
-    if len(record.k_range) != 2 or any(type(v) is not int for v in numbers):
-        raise DomainError("k_range is not a pair or a field is not an int")
-    if _key(record) != key:
-        raise DomainError(f"record for {_key(record)} stored under {key}")
+    """Raise DomainError unless ``record``'s space has the key ``key``."""
+    if _key(record.space) != key:
+        raise DomainError(f"record for {_key(record.space)} stored under {key}")
 
 
 class ResultCache:
@@ -79,21 +72,20 @@ class ResultCache:
             for lineno, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
-                try:
+                try:  # json.loads raises RecursionError on deeply nested brackets
                     entry = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
                     record = ExtremeRecord.from_dict(entry["record"])
                     _check(record, entry["key"])
-                    space = SearchSpace(record.n, record.m, record.k_range, record.cap)
-                except (ValueError, LookupError, TypeError, OverflowError) as exc:
+                except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
                     warnings.warn(f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
                                   CacheWarning, stacklevel=3)  # get's caller
                     continue
-                index[space] = record
+                index[record.space] = record
         self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
-        """Append ``record`` under ``space``'s key.  A record that a load would
-        discard raises DomainError, and nothing is written."""
+        """Append ``record`` under ``space``'s key.  A record for another space
+        raises DomainError, and nothing is written."""
         key = _key(space)
         _check(record, key)
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,13 @@ single object with "config" and "result" keys; CSV output is a header
 row followed by data rows.  Both are deterministic for a given
 configuration: keys are sorted and column order is fixed.
 
-One table, ``_COMMANDS``, gives every command's flags; it drives parsing,
-the --help pages and the usage errors, whose layout and wording are
-click's (the golden files pin them).  Each flag names the ``RunConfig``
-field it sets, and a command passes them straight on once ``_checked``
-has applied the flag floors and parsed --a.  The standard library alone
-reads the command line, so a query does not pay for a parser library.
+One table, ``_COMMANDS``, gives every command's flags and handler; it
+drives parsing, dispatch (``run``), the --help pages and the usage
+errors, whose layout and wording are click's (the golden files pin
+them).  Each flag names the ``RunConfig`` field it sets, and a command
+passes them straight on once ``_checked`` has applied the flag floors
+and parsed --a.  The standard library alone reads the command line, so a
+query does not pay for a parser library.
 
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
@@ -107,18 +108,9 @@ def _site_lines(sites) -> list[str]:
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a resolved configuration; return (exit status, output text)."""
-    handler = {
-        "eval": _run_eval,
-        "table": _run_table,
-        "search": _run_search,
-        "verify-bounds": _run_verify_bounds,
-        "verify-conjecture": _run_verify_conjecture,
-        "f-seq": _run_f_seq,
-        "delta-scan": _run_delta_scan,
-    }.get(config.command)
-    if handler is None:
+    if config.command not in _COMMANDS:
         raise DomainError(f"unknown command {config.command!r}")
-    return handler(config)
+    return _COMMANDS[config.command][2](config)
 
 
 def _run_eval(config: RunConfig) -> tuple[int, str]:
@@ -139,9 +131,9 @@ def _run_table(config: RunConfig) -> tuple[int, str]:
 def _run_search(config: RunConfig) -> tuple[int, str]:
     space = SearchSpace(config.n, config.m, (config.k_lo, config.k_hi), config.cap)
     record = cached_extremes(space, workers=config.workers, cache=config.cache)
-    k_lo, k_hi = record.k_range
+    k_lo, k_hi = space.k_range
     rows = []
-    lines = [f"search n={record.n} m={record.m} K in [{k_lo},{k_hi}] cap={record.cap}"]
+    lines = [f"search n={space.n} m={space.m} K in [{k_lo},{k_hi}] cap={space.cap}"]
     for kind, value, sites, count in (
             ("max", record.max_value, record.max_sites, record.max_count),
             ("min", record.min_value, record.min_sites, record.min_count)):
@@ -149,7 +141,7 @@ def _run_search(config: RunConfig) -> tuple[int, str]:
         lines.append(f"{kind} {value} attained at {count} site(s):")
         lines += _site_lines(sites)
         if len(sites) < count:
-            lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {record.cap}")
+            lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {space.cap}")
     return _output(config, record.to_dict(), ["kind", "value", "count", "a", "k"], rows, lines)
 
 
@@ -276,9 +268,10 @@ _FORMATS = ("human", "csv", "json")
 _METAVARS = {"int": "INTEGER", "text": "TEXT", "format": f"[{'|'.join(_FORMATS)}]",
              "cache": "FILE"}
 
-# Every command's help text and its flags in --help order, each as (flag,
-# RunConfig field, kind, default or _REQUIRED, help).  --help shows every
-# default but None; --cache falls back to FLOORSUM_CACHE when that is not empty.
+# Every command's help text, its flags in --help order, each as (flag,
+# RunConfig field, kind, default or _REQUIRED, help), and its handler.
+# --help shows every default but None; --cache falls back to FLOORSUM_CACHE
+# when that is not empty.
 _FORMAT_FLAG = ("--format", "fmt", "format", "human", "Output format.")
 _SEARCH_FLAGS = (
     _FORMAT_FLAG,
@@ -291,11 +284,11 @@ _COMMANDS = {
         ("--m", "m", "int", _REQUIRED, "Modulus (>= 1)."),
         ("--a", "a", "text", _REQUIRED, "Multiset, comma-separated (e.g. 2,3)."),
         ("--k", "k", "int", _REQUIRED, "Prefix bound K, in [0, m-1]."),
-        _FORMAT_FLAG)),
+        _FORMAT_FLAG), _run_eval),
     "table": ("Max/min sequences of S_m over bounded instances, m = 1..m_max.", (
         ("--n", "n", "int", _REQUIRED, "Arity (number of multiset elements)."),
         ("--m-max", "m_max", "int", _REQUIRED, "Tabulate m = 1..m_max."),
-        *_SEARCH_FLAGS)),
+        *_SEARCH_FLAGS), _run_table),
     "search": ("Exhaustive extremal search over every bounded (A, K).", (
         ("--n", "n", "int", _REQUIRED, "Arity."),
         ("--m", "m", "int", _REQUIRED, "Modulus."),
@@ -303,28 +296,28 @@ _COMMANDS = {
         ("--k-max", "k_hi", "int", None, "High end of the K range."),
         ("--cap", "cap", "int", DEFAULT_CAP,
          "Maximum number of attaining sites to record per side."),
-        *_SEARCH_FLAGS)),
+        *_SEARCH_FLAGS), _run_search),
     "verify-bounds": (
         "Search (n, m) exhaustively and compare against the known bounds.\n\n"
         "Exits nonzero only if a proven bound is violated (an implementation bug); a "
         "conjectured bound that is not attained is reported, not fatal.", (
             ("--n", "n", "int", _REQUIRED, "Arity."),
             ("--m", "m", "int", _REQUIRED, "Modulus."),
-            *_SEARCH_FLAGS)),
+            *_SEARCH_FLAGS), _run_verify_bounds),
     "verify-conjecture": ("Check M(n) = m*f(n) and the predicted sites against full search.", (
         ("--n", "n", "int", _REQUIRED, "Arity (>= 4)."),
         ("--m", "m", "int", _REQUIRED, "Modulus (must admit the predicted sites)."),
-        *_SEARCH_FLAGS)),
+        *_SEARCH_FLAGS), _run_verify_conjecture),
     "f-seq": ("Exact rational sequence f(2..n_max) from the ninth-order recurrence.", (
         ("--n-max", "n_max", "int", _REQUIRED, "Last index to produce (>= 2)."),
-        _FORMAT_FLAG)),
+        _FORMAT_FLAG), _run_f_seq),
     "delta-scan": (
         "Audit the two-variable difference against its case table.\n\n"
         "Scans every legal (a1, a2, K) cell; any value/case mismatch aborts with exit "
         "status 3.", (
             ("--m", "m", "int", None, "Scan a single modulus."),
             ("--m-max", "m_max", "int", None, "Scan every modulus 1..m_max."),
-            _FORMAT_FLAG)),
+            _FORMAT_FLAG), _run_delta_scan),
 }
 _GROUP_DOC = "Exact workbench for alternating floor-function sums S_m(A, K)."
 _HELP_ROW = ("-h, --help", "Show this message and exit.")
@@ -503,7 +496,7 @@ def _help(prog: str, command: str | None = None) -> str:
     if command is None:
         doc, options = _GROUP_DOC, [("--version", "Show the version and exit."), _HELP_ROW]
     else:
-        doc, flags = _COMMANDS[command]
+        doc, flags, _ = _COMMANDS[command]
         options = []
         for flag, _, kind, default, text in flags:
             extra = "" if default is None else (
@@ -596,7 +589,7 @@ def main() -> None:
     try:
         code = cli(sys.argv[1:], _program_name())
         sys.stdout.flush()
-    except (EOFError, KeyboardInterrupt):
+    except KeyboardInterrupt:
         sys.stderr.write("\nAborted!\n")
         code = 1
     except BrokenPipeError:  # the reader has gone, as under `| head`: exit quietly

@@ -284,22 +284,31 @@ class ConjectureReport:
     """Outcome of checking the conjecture at one (n, m).
 
     ``side`` is the conjectured extreme: "max" for odd n, "min" for even
-    n.  ``sites_exact`` is a set-equality verdict for part-1 arities (the
-    prediction says the extremes occur exactly at the listed sites) and
+    n; the searched value and attaining count on that side are derived from
+    ``record``.  ``sites_exact`` is a set-equality verdict for part-1 arities
+    (the prediction says the extremes occur exactly at the listed sites) and
     None for part-2 arities (only containment is claimed there).
     """
 
-    n: int
-    m: int
+    record: ExtremeRecord
     part: int
     block_index: int
     side: str
     predicted_value: Fraction
-    search_value: int
-    value_matches: bool
     site_checks: tuple[SiteCheck, ...]
-    attaining_count: int
     sites_exact: bool | None
+
+    @property
+    def search_value(self) -> int:
+        return self.record.max_value if self.side == "max" else self.record.min_value
+
+    @property
+    def attaining_count(self) -> int:
+        return self.record.max_count if self.side == "max" else self.record.min_count
+
+    @property
+    def value_matches(self) -> bool:
+        return self.predicted_value == self.search_value
 
     @property
     def passed(self) -> bool:
@@ -327,7 +336,6 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
         side, search_value, count = "max", record.max_value, record.max_count
     else:
         side, search_value, count = "min", record.min_value, record.min_count
-    predicted_value = m * f_value(n)
     checks = []
     for site in sites:
         value = eval_closed(Instance(m, site.a, site.k))
@@ -335,16 +343,4 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
     sites_exact = None
     if part == 1:
         sites_exact = count == len(sites) and all(c.attains for c in checks)
-    return ConjectureReport(
-        n=n,
-        m=m,
-        part=part,
-        block_index=block,
-        side=side,
-        predicted_value=predicted_value,
-        search_value=search_value,
-        value_matches=predicted_value == search_value,
-        site_checks=tuple(checks),
-        attaining_count=count,
-        sites_exact=sites_exact,
-    )
+    return ConjectureReport(record, part, block, side, m * f_value(n), tuple(checks), sites_exact)

@@ -30,15 +30,25 @@ from .exceptions import DomainError, InstanceTooLargeError
 _I64_MAX = 2**63 - 1
 
 
-def _check_width(m: int, a: Sequence[int], k: int) -> None:
+def _shown(value: int) -> str:
+    # Past 256 bits, the bit length: decimal text of a huge int is slow, and
+    # refused past 4300 digits.
+    return str(value) if value < 1 << 256 else f"({value.bit_length()} bits)"
+
+
+def _check_width(m: int, n: int, total: int, k: int) -> None:
+    """Refuse n elements summing to ``total`` at prefix bound ``k`` if the worst-case
+    intermediate overflows 64 bits; no multiset is built, so any n is cheap."""
     # Worst case: 2^n terms, each at most (floor(total/m)+1)*(K+1) + K + total.
-    total = sum(a)
-    worst = (1 << len(a)) * ((total // m + 1) * (k + 1) + k + total)
-    if worst > _I64_MAX:
-        raise InstanceTooLargeError(
-            f"worst-case intermediate {worst} exceeds 64-bit range "
-            f"(n={len(a)}, sum(A)={total}, K={k})"
-        )
+    # That bound is at least 1, so n >= 63 overflows whatever it is.
+    term = (total // m + 1) * (k + 1) + k + total
+    if n < 63 and (1 << n) * term <= _I64_MAX:
+        return
+    worst = _shown((1 << n) * term) if n <= 256 else f"({n + term.bit_length()} bits)"
+    raise InstanceTooLargeError(
+        f"worst-case intermediate {worst} exceeds 64-bit range "
+        f"(n={_shown(n)}, sum(A)={_shown(total)}, K={_shown(k)})"
+    )
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class Instance:
             raise DomainError(f"multiset elements must be >= 0, got {values[-1]}")
         if self.k < 0:
             raise DomainError(f"prefix bound must be >= 0, got {self.k}")
-        _check_width(self.m, values, self.k)
+        _check_width(self.m, len(values), sum(values), self.k)
         object.__setattr__(self, "a", values)
 
     @property

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate, combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
-from .core import Instance, eval_closed_all_k
+from .core import _check_width, eval_closed_all_k
 from .exceptions import DomainError
 
 Site = tuple[tuple[int, ...], int]
@@ -52,8 +52,8 @@ _POOL_AFTER_S = 0.2
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Search parameters: arity, modulus, K subrange and site cap.  A space whose
-    widest cell overflows 64 bits raises ``InstanceTooLargeError`` on construction."""
+    """Search parameters, plain ints: arity, modulus, K subrange and site cap.  A space
+    whose widest cell overflows 64 bits raises ``InstanceTooLargeError`` on construction."""
 
     n: int
     m: int
@@ -61,18 +61,22 @@ class SearchSpace:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
+        k_range = self.k_range if self.k_range is not None else (0, self.m - 1)
+        if len(k_range) != 2 or any(type(v) is not int
+                                    for v in (self.n, self.m, self.cap, *k_range)):
+            raise DomainError("n, m, cap and both ends of k_range must be ints")
         if self.n < 1:
             raise DomainError(f"arity must be >= 1, got {self.n}")
         if self.m < 1:
             raise DomainError(f"modulus must be >= 1, got {self.m}")
         if self.cap < 1:
             raise DomainError(f"site cap must be >= 1, got {self.cap}")
-        k_range = self.k_range if self.k_range is not None else (0, self.m - 1)
         lo, hi = k_range
         if not 0 <= lo <= hi <= self.m - 1:
             raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {self.m - 1}, got {k_range}")
         object.__setattr__(self, "k_range", (lo, hi))
-        Instance(self.m, (self.m - 1,) * self.n, self.m - 1)  # the widest cell
+        # the widest cell: (m-1, ..., m-1) at K = m-1
+        _check_width(self.m, self.n, self.n * (self.m - 1), self.m - 1)
 
     @property
     def multiset_count(self) -> int:
@@ -81,16 +85,14 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class ExtremeRecord:
-    """Exact max/min over a search space plus the attaining sites.
+    """Exact max/min over ``space`` plus the attaining sites.
 
-    Site lists are in enumeration order and hold at most ``cap`` entries;
-    ``max_count``/``min_count`` are the true numbers of attaining sites.
+    Site lists are in enumeration order and hold at most ``space.cap`` entries;
+    ``max_count``/``min_count`` are the true numbers of attaining sites.  Every
+    number is a plain int.
     """
 
-    n: int
-    m: int
-    k_range: tuple[int, int]
-    cap: int
+    space: SearchSpace
     max_value: int
     min_value: int
     max_sites: tuple[Site, ...]
@@ -98,23 +100,33 @@ class ExtremeRecord:
     max_count: int
     min_count: int
 
+    def __post_init__(self) -> None:
+        sites = self.max_sites + self.min_sites
+        numbers = (self.max_value, self.min_value, self.max_count, self.min_count,
+                   *(k for _, k in sites), *(v for a, _ in sites for v in a))
+        if any(type(v) is not int for v in numbers):
+            raise DomainError("a value, count or site of the record is not an int")
+
     @property
     def truncated(self) -> bool:
         return len(self.max_sites) < self.max_count or len(self.min_sites) < self.min_count
 
     def to_dict(self) -> dict:
-        """Every field, plus ``truncated``; JSON writes the tuples as lists."""
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+        """The space's fields, the record's own and ``truncated``, in one flat dict."""
+        space = self.space
+        return {"n": space.n, "m": space.m, "k_range": space.k_range, "cap": space.cap,
+                **{f.name: getattr(self, f.name) for f in fields(self)[1:]},
                 "truncated": self.truncated}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtremeRecord":
-        """Inverse of ``to_dict``; a missing field raises ``KeyError`` naming it."""
-        values = {f.name: data[f.name] for f in fields(cls)}
-        values["k_range"] = tuple(values["k_range"])
+        """Inverse of ``to_dict``; a missing field raises ``KeyError`` naming it,
+        and a space that ``SearchSpace`` refuses raises as it does."""
+        space = SearchSpace(data["n"], data["m"], tuple(data["k_range"]), data["cap"])
+        values = {f.name: data[f.name] for f in fields(cls)[1:]}
         for side in ("max_sites", "min_sites"):
             values[side] = tuple((tuple(a), k) for a, k in values[side])
-        return cls(**values)
+        return cls(space, **values)
 
 
 def enumerate_multisets(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -240,7 +252,6 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
         fold([_task(task)])
     top, bottom = sides
     return ExtremeRecord(
-        n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,
-        max_value=top.value, min_value=bottom.value,
+        space, max_value=top.value, min_value=bottom.value,
         max_sites=tuple(top.sites), min_sites=tuple(bottom.sites),
         max_count=top.count, min_count=bottom.count)

@@ -113,8 +113,7 @@ def reference_extremes(space) -> ExtremeRecord:
     max_sites = [site for site, v in cells if v == max_value]
     min_sites = [site for site, v in cells if v == min_value]
     return ExtremeRecord(
-        n=space.n, m=space.m, k_range=space.k_range, cap=space.cap,
-        max_value=max_value, min_value=min_value,
+        space, max_value=max_value, min_value=min_value,
         max_sites=tuple(max_sites[:space.cap]), min_sites=tuple(min_sites[:space.cap]),
         max_count=len(max_sites), min_count=len(min_sites))
 

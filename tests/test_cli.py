@@ -154,6 +154,21 @@ def test_oversize_space_exits_before_its_cache_file_is_created(tmp_path):
         assert not path.exists(), argv
 
 
+def test_an_arity_past_the_decimal_digit_limit_exits_2(tmp_path):
+    # the worst case of n = 20000 has about 20000 bits, over 6000 decimal digits,
+    # more than Python converts to text, so the message gives its bit length
+    message = ("Error: worst-case intermediate (20017 bits) exceeds 64-bit range "
+               "(n=20000, sum(A)=40000, K=2)\n")
+    path = tmp_path / "new.jsonl"
+    for argv in (["search", "--n", "20000", "--m", "3"], ["table", "--n", "20000", "--m-max", "3"],
+                 ["verify-bounds", "--n", "20000", "--m", "3"]):
+        result = invoke([*argv, "--cache", str(path)])
+        assert result.exit_code == 2 and result.stdout == "", argv
+        assert "worst-case intermediate (" in result.stderr, argv
+        assert not path.exists(), argv
+    assert invoke(["search", "--n", "20000", "--m", "3"]).stderr.endswith(message)
+
+
 def test_format_stability():
     for fmt in ("csv", "json"):
         first = invoke(["search", "--n", "3", "--m", "7", "--format", fmt])
@@ -401,6 +416,11 @@ def test_run_returns_the_cli_exit_code_and_stdout(argv, fields):
     assert run(RunConfig(**fields)) == (result.exit_code, result.stdout)
 
 
+def test_run_refuses_an_unknown_command():
+    with pytest.raises(DomainError, match="unknown command 'nope'"):
+        run(RunConfig("nope"))
+
+
 def test_run_returns_the_exit_code_of_a_proven_bound_violation(tmp_path):
     path = _poison(tmp_path, SearchSpace(2, 10), max_value=99)
     result = invoke(["verify-bounds", "--n", "2", "--m", "10", "--cache", path])
@@ -462,10 +482,12 @@ def test_cache_put_refuses_a_record_a_load_would_discard(tmp_path):
     cache.put(space, record)
     stored = path.read_bytes()
     assert cache.get(space) == record
-    for bad in (other, replace(record, max_value=float(record.max_value))):
-        with pytest.raises(DomainError):
-            cache.put(space, bad)
-        assert path.read_bytes() == stored
+    with pytest.raises(DomainError, match="stored under"):
+        cache.put(space, other)
+    # a record with a field that is not a plain int cannot even be built
+    with pytest.raises(DomainError, match="not an int"):
+        replace(record, max_value=float(record.max_value))
+    assert path.read_bytes() == stored
     assert cache.get(space) == record
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -531,6 +553,21 @@ def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(tmp_path):
     assert result.stderr == f"warning: discarding corrupt cache entry at {path}:1: 'n'\n"
     assert "cache.py" not in result.stderr
     assert result.stdout == invoke(["search", "--n", "3", "--m", "5"]).stdout
+
+
+def test_cli_discards_a_deeply_nested_cache_line(tmp_path):
+    # json.loads raises RecursionError on it, not ValueError
+    path = tmp_path / "F"
+    path.write_text("[" * 200_000 + "\n")
+    result = invoke(["search", "--n", "3", "--m", "5", "--cache", str(path)])
+    assert result.exit_code == 0
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(f"warning: discarding corrupt cache entry at {path}:1: ")
+    assert result.stdout == invoke(["search", "--n", "3", "--m", "5"]).stdout
+    assert len(path.read_text().splitlines()) == 2  # recomputed and appended
+    with pytest.warns(CacheWarning) as caught:
+        assert ResultCache(path).get(SearchSpace(3, 5)) == extremes(SearchSpace(3, 5))
+    assert len(caught) == 1
 
 
 def test_cli_discards_a_cache_line_that_is_not_utf8(tmp_path):

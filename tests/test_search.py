@@ -3,6 +3,7 @@
 import functools
 import math
 import multiprocessing
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -70,6 +71,25 @@ def test_search_space_refuses_a_space_whose_widest_cell_overflows():
     assert SearchSpace(56, 2).k_range == (0, 1)
 
 
+def test_search_space_checks_its_widest_cell_without_building_it():
+    # by arithmetic on (n, m): no n-element tuple, however large n is; the worst
+    # case, 2^n * 40000003, has n + 26 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError, match=r"^worst-case intermediate \(10000026 bits\)"):
+            SearchSpace(10**7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_search_space_refuses_a_field_that_is_not_a_plain_int():
+    for args in [(3.0, 5), (3, True), (3, 5, (0, 4.0)), (3, 5, None, 10.0)]:
+        with pytest.raises(DomainError, match="must be ints"):
+            SearchSpace(*args)
+
+
 def test_extremes_known_values():
     record = extremes(SearchSpace(4, 2))
     assert (record.max_value, record.min_value) == (4, 0)
@@ -125,9 +145,10 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
         for k_range in [(0, m - 1)] + ([(1, m - 2)] if m >= 3 else []):
             full = reference_extremes(SearchSpace(n, m, k_range))
             for cap in (1, 2, DEFAULT_CAP):
-                expected = replace(full, cap=cap, max_sites=full.max_sites[:cap],
+                space = SearchSpace(n, m, k_range, cap)
+                expected = replace(full, space=space, max_sites=full.max_sites[:cap],
                                    min_sites=full.min_sites[:cap])
-                assert extremes(SearchSpace(n, m, k_range, cap)) == expected, (n, m, k_range, cap)
+                assert extremes(space) == expected, (n, m, k_range, cap)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)  # so workers 2 and 3 start a pool
     for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
         expected = reference_extremes(space)
@@ -297,6 +318,22 @@ def test_site_cap_truncates_but_keeps_counts():
 def test_record_dict_roundtrip():
     record = extremes(SearchSpace(3, 6, (1, 4), cap=7))
     assert ExtremeRecord.from_dict(record.to_dict()) == record
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"cap": 0}, DomainError),
+    ({"k_range": [4, 1]}, DomainError),
+    ({"k_range": [0, 2, 5]}, DomainError),
+    ({"n": 70, "m": 3, "k_range": [0, 2]}, InstanceTooLargeError),
+    ({"cap": 1000.0}, DomainError),
+    ({"max_value": 2.0}, DomainError),
+    ({"n": True}, DomainError),
+    ({"min_count": True}, DomainError),
+])
+def test_record_from_dict_refuses_what_a_fresh_run_never_builds(fields, error):
+    data = extremes(SearchSpace(3, 6)).to_dict()
+    with pytest.raises(error):
+        ExtremeRecord.from_dict({**data, **fields})
 
 
 def test_record_from_dict_names_the_first_missing_field():
