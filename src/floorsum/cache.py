@@ -12,9 +12,7 @@ answered from memory, indexed by each record's space.
 
 from __future__ import annotations
 
-import json
 import warnings
-from pathlib import Path
 
 from .exceptions import DomainError
 from .search import ExtremeRecord, SearchSpace, extremes
@@ -52,6 +50,7 @@ class ResultCache:
     """
 
     def __init__(self, path: str | Path):
+        from pathlib import Path  # here, so a query without --cache never loads it
         self.path = Path(path)
         self._index: dict[SearchSpace, ExtremeRecord] | None = None  # loaded by the first get
 
@@ -62,6 +61,7 @@ class ResultCache:
         return self._index.get(space)
 
     def _load(self) -> None:
+        import json
         index = {}  # kept once the whole file is read: a warning raised as an error reloads
         # Append mode, as put uses, so an unusable path fails before a search.
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -86,6 +86,7 @@ class ResultCache:
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
         """Append ``record`` under ``space``'s key.  A record for another space
         raises DomainError, and nothing is written."""
+        import json
         key = _key(space)
         _check(record, key)
         self.path.parent.mkdir(parents=True, exist_ok=True)

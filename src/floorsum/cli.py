@@ -24,20 +24,15 @@ arithmetic; 3 on a proven-bound violation or case-table mismatch
 
 from __future__ import annotations
 
-import csv
 import gc
-import io
-import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, eval_closed, eval_closed_all_k
+from .core import Instance, _Record, _set, eval_closed, eval_closed_all_k
 from .exceptions import DomainError, FloorSumError, TableViolationError
 from .search import DEFAULT_CAP, SearchSpace
 from .symmetry import CASE_VALUES, delta
@@ -47,23 +42,30 @@ EXIT_USAGE = 2
 EXIT_BUG = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """A fully resolved command invocation."""
 
-    command: str
-    fmt: str = "human"
-    workers: int = 1
-    cache_path: str | None = None
-    n: int | None = None
-    m: int | None = None
-    n_max: int | None = None
-    m_max: int | None = None
-    k: int | None = None
-    k_lo: int | None = None
-    k_hi: int | None = None
-    a: tuple[int, ...] | None = None
-    cap: int | None = None
+    __slots__ = ("command", "fmt", "workers", "cache_path", "n", "m", "n_max", "m_max",
+                 "k", "k_lo", "k_hi", "a", "cap")
+
+    def __init__(self, command: str, fmt: str = "human", workers: int = 1,
+                 cache_path: str | None = None, n: int | None = None, m: int | None = None,
+                 n_max: int | None = None, m_max: int | None = None, k: int | None = None,
+                 k_lo: int | None = None, k_hi: int | None = None,
+                 a: tuple[int, ...] | None = None, cap: int | None = None):
+        _set(self, "command", command)
+        _set(self, "fmt", fmt)
+        _set(self, "workers", workers)
+        _set(self, "cache_path", cache_path)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "n_max", n_max)
+        _set(self, "m_max", m_max)
+        _set(self, "k", k)
+        _set(self, "k_lo", k_lo)
+        _set(self, "k_hi", k_hi)
+        _set(self, "a", a)
+        _set(self, "cap", cap)
 
     def to_dict(self) -> dict:
         """Serializable form: the mathematical query only, unset fields left
@@ -73,9 +75,9 @@ class RunConfig:
         reduction is deterministic and cached records are transparent),
         so they are left out to keep output byte-identical across them.
         """
-        return {("format" if f.name == "fmt" else f.name): getattr(self, f.name)
-                for f in fields(self) if f.name not in ("workers", "cache_path")
-                and getattr(self, f.name) is not None}
+        return {("format" if name == "fmt" else name): getattr(self, name)
+                for name in self.__slots__ if name not in ("workers", "cache_path")
+                and getattr(self, name) is not None}
 
     @property
     def cache(self) -> ResultCache | None:
@@ -87,9 +89,12 @@ def _output(config: RunConfig, result: dict, header: list[str], rows: list[list]
     """(exit status, output text): the single place text is produced for ``config.fmt``,
     from a command's JSON payload, CSV table and human lines."""
     if config.fmt == "json":
+        import json
         return code, json.dumps({"config": config.to_dict(), "result": result},
                                 sort_keys=True, indent=2) + "\n"
     if config.fmt == "csv":
+        import csv
+        import io
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -156,7 +161,8 @@ def _run_verify_bounds(config: RunConfig) -> tuple[int, str]:
     for side, bound, verdict, extreme in (
             ("lower", report.lower, report.lower_verdict, record.min_value),
             ("upper", report.upper, report.upper_verdict, record.max_value)):
-        value = str(bound.value) if isinstance(bound.value, Fraction) else bound.value
+        # a Fraction, only on a conjectured side, is written as text such as "7/3"
+        value = bound.value if bound.value is None or type(bound.value) is int else str(bound.value)
         result[side] = {"value": value, "status": bound.status, "formula": bound.formula,
                         "note": bound.note, "verdict": verdict}
         rows.append([side, bound.formula, bound.status, value, extreme, verdict])
@@ -379,13 +385,21 @@ def _scan(args: list[str], valued, switches: tuple[str, ...],
     return given, switched, rest
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, or of its first 40 characters and its length past that,
+    so an error message stays short whatever it echoes."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _convert(flag: str, kind: str, text: str):
     """A flag's value from its text, as its kind reads it."""
     if kind == "int":
         try:
             return int(text)
-        except ValueError:
-            problem = f"{text!r} is not a valid integer."
+        except ValueError:  # also past Python's 4300-digit limit
+            problem = f"{_quoted(text)} is not a valid integer."
     elif kind == "format" and text not in _FORMATS:
         problem = f"{text!r} is not one of {', '.join(map(repr, _FORMATS))}."
     elif kind == "cache" and os.path.isdir(text):
@@ -401,7 +415,7 @@ def _parse_multiset(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--a expects comma-separated integers, got {text!r}")
+        raise _UsageError(f"--a expects comma-separated integers, got {_quoted(text)}")
     if min(values) < 0:
         raise _UsageError("--a elements must be >= 0")
     return tuple(sorted(values, reverse=True))  # canonical descending order
@@ -470,7 +484,7 @@ def _parse(command: str, args: list[str]) -> RunConfig | None:
         k_hi = config.m - 1 if config.k_hi is None else config.k_hi
         _require(0 <= k_lo <= k_hi <= config.m - 1,
                  f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {config.m - 1}")
-        config = replace(config, k_lo=k_lo, k_hi=k_hi)
+        config = config.replace(k_lo=k_lo, k_hi=k_hi)
     return config
 
 

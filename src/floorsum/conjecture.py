@@ -25,27 +25,18 @@ rational equality, never by tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .cache import ResultCache, cached_extremes
-from .core import Instance, eval_closed
+from .core import Instance, _Record, _set, eval_closed
 from .exceptions import DivisibilityError, DomainError
 # Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
 from .search import ExtremeRecord, SearchSpace, Site, extremes
 
-_INITIAL = {
-    2: Fraction(0),
-    3: Fraction(1, 3),
-    4: Fraction(-1),
-    5: Fraction(2),
-    6: Fraction(-3),
-    7: Fraction(8),
-    8: Fraction(-18),
-    9: Fraction(36),
-    10: Fraction(-65),
-}
+# f(2), ..., f(10) as (numerator, denominator).  ``Fraction`` is imported in
+# ``f_sequence``, where f(n) is computed, so a process that never asks for
+# f(n) does not load ``fractions`` (or ``decimal``, which it imports).
+_INITIAL = ((0, 1), (1, 3), (-1, 1), (2, 1), (-3, 1), (8, 1), (-18, 1), (36, 1), (-65, 1))
 
 VERDICT_HOLDS = "holds"
 VERDICT_EQUALITY = "holds-with-equality"
@@ -76,10 +67,11 @@ def f_sequence(n_max: int) -> list[Fraction]:
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
+    from fractions import Fraction
     values: dict[int, Fraction] = {}
     for n in range(2, n_max + 1):
         if n <= 10:
-            values[n] = _INITIAL[n]
+            values[n] = Fraction(*_INITIAL[n - 2])
         else:
             values[n] = _recurrence_rhs(n, values.__getitem__) / (-5 * (n + 3) * (n - 2))
     return [values[n] for n in range(2, n_max + 1)]
@@ -114,13 +106,15 @@ def _conjecture_block(n: int) -> tuple[int, int]:
     return (2 if n % 4 == 2 else 1, (n + 1) // 4)
 
 
-@dataclass(frozen=True)
-class PredictedSite:
+class PredictedSite(_Record):
     """A constant multiset site (c*m/d, ..., c*m/d) with K = c*m/d - 1."""
 
-    a: tuple[int, ...]
-    k: int
-    divisor: int
+    __slots__ = ("a", "k", "divisor")
+
+    def __init__(self, a: tuple[int, ...], k: int, divisor: int):
+        _set(self, "a", a)
+        _set(self, "k", k)
+        _set(self, "divisor", divisor)
 
 
 def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
@@ -152,18 +146,22 @@ def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
     return sites
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(_Record):
     """One side of a bound: its value at m, proof status and formula.
 
     ``value`` is None when the conjectured side is unavailable (the
     divisor the prediction needs does not divide m).
     """
 
-    value: int | Fraction | None
-    status: str  # "proven" | "conjectured"
-    formula: str
-    note: str | None = None
+    __slots__ = ("value", "status", "formula", "note")
+
+    def __init__(self, value: int | Fraction | None,
+                 status: str,  # "proven" | "conjectured"
+                 formula: str, note: str | None = None):
+        _set(self, "value", value)
+        _set(self, "status", status)
+        _set(self, "formula", formula)
+        _set(self, "note", note)
 
 
 _EVEN_M_NOTE = "proof stated under the hypothesis that m is even"
@@ -210,17 +208,19 @@ def known_bounds(n: int, m: int) -> tuple[Bound, Bound]:
             Bound(proven_magnitude, "proven", "2^(n-2)*floor(m/2)", note=note))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Search extremes compared against the known bounds.
 
     Every verdict, and the witnesses, is derived from ``record``: the
     lower side against its min, the upper side against its max.
     """
 
-    record: ExtremeRecord
-    lower: Bound
-    upper: Bound
+    __slots__ = ("record", "lower", "upper")
+
+    def __init__(self, record: ExtremeRecord, lower: Bound, upper: Bound):
+        _set(self, "record", record)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     @property
     def lower_verdict(self) -> str:
@@ -270,17 +270,18 @@ def verify_bounds(n: int, m: int, workers: int = 1,
     return BoundsReport(cached_extremes(SearchSpace(n, m), workers, cache), *known_bounds(n, m))
 
 
-@dataclass(frozen=True)
-class SiteCheck:
+class SiteCheck(_Record):
     """Evaluation of one predicted site against the searched extreme."""
 
-    site: PredictedSite
-    value: int
-    attains: bool
+    __slots__ = ("site", "value", "attains")
+
+    def __init__(self, site: PredictedSite, value: int, attains: bool):
+        _set(self, "site", site)
+        _set(self, "value", value)
+        _set(self, "attains", attains)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Outcome of checking the conjecture at one (n, m).
 
     ``side`` is the conjectured extreme: "max" for odd n, "min" for even
@@ -290,13 +291,19 @@ class ConjectureReport:
     None for part-2 arities (only containment is claimed there).
     """
 
-    record: ExtremeRecord
-    part: int
-    block_index: int
-    side: str
-    predicted_value: Fraction
-    site_checks: tuple[SiteCheck, ...]
-    sites_exact: bool | None
+    __slots__ = ("record", "part", "block_index", "side", "predicted_value", "site_checks",
+                 "sites_exact")
+
+    def __init__(self, record: ExtremeRecord, part: int, block_index: int, side: str,
+                 predicted_value: Fraction, site_checks: tuple[SiteCheck, ...],
+                 sites_exact: bool | None):
+        _set(self, "record", record)
+        _set(self, "part", part)
+        _set(self, "block_index", block_index)
+        _set(self, "side", side)
+        _set(self, "predicted_value", predicted_value)
+        _set(self, "site_checks", site_checks)
+        _set(self, "sites_exact", sites_exact)
 
     @property
     def search_value(self) -> int:

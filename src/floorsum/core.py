@@ -17,13 +17,15 @@ prefix bound K >= 0.  Three evaluation routes are provided:
 All arithmetic is exact.  ``Instance`` is the one check of a triple, which
 every evaluator takes or builds; it also rejects, up front, a triple whose
 worst-case intermediates would not fit in a signed 64-bit word.
+
+``_Record`` is the base of every record type in the package: an immutable
+value whose fields are its ``__slots__``, set once by its own ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .exceptions import DomainError, InstanceTooLargeError
 
@@ -33,7 +35,9 @@ _I64_MAX = 2**63 - 1
 def _shown(value: int) -> str:
     # Past 256 bits, the bit length: decimal text of a huge int is slow, and
     # refused past 4300 digits.
-    return str(value) if value < 1 << 256 else f"({value.bit_length()} bits)"
+    if -(1 << 256) < value < 1 << 256:
+        return str(value)
+    return f"{'-' if value < 0 else ''}({value.bit_length()} bits)"
 
 
 def _check_width(m: int, n: int, total: int, k: int) -> None:
@@ -51,9 +55,52 @@ def _check_width(m: int, n: int, total: int, k: int) -> None:
     )
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A problem triple: modulus ``m``, multiset ``a``, prefix bound ``k``.
+# Sets a field from a record's ``__init__``; records refuse plain assignment.
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable value record.  Its fields are its class's ``__slots__``, in
+    order, and its class's ``__init__`` checks them and sets each once with
+    ``_set``.  A record equals, and hashes as, a record of the same class with
+    equal fields; ``replace`` and unpickling rebuild through ``__init__``, so
+    its checks run again."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return self.__class__(**{**fields, **changes})
+
+
+class Instance(_Record):
+    """A problem triple: modulus ``m``, multiset ``a``, prefix bound ``k``, all
+    plain ints.
 
     The multiset is canonicalised to descending order on construction;
     the sum is symmetric in its elements.  A *bounded* instance (the
@@ -61,22 +108,27 @@ class Instance:
     elements and ``k`` in ``[0, m-1]``.
     """
 
-    m: int
-    a: tuple[int, ...]
-    k: int
+    __slots__ = ("m", "a", "k")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.m}")
-        values = tuple(sorted(self.a, reverse=True))
+    def __init__(self, m: int, a: Sequence[int], k: int):
+        values = sorted(a, reverse=True)
+        if type(m) is not int or type(k) is not int:
+            raise DomainError("m, k and every element of the multiset must be ints")
+        for v in values:
+            if type(v) is not int:
+                raise DomainError("m, k and every element of the multiset must be ints")
+        if m < 1:
+            raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
         if not values:
             raise DomainError("the multiset must contain at least one element")
         if values[-1] < 0:
-            raise DomainError(f"multiset elements must be >= 0, got {values[-1]}")
-        if self.k < 0:
-            raise DomainError(f"prefix bound must be >= 0, got {self.k}")
-        _check_width(self.m, len(values), sum(values), self.k)
-        object.__setattr__(self, "a", values)
+            raise DomainError(f"multiset elements must be >= 0, got {_shown(values[-1])}")
+        if k < 0:
+            raise DomainError(f"prefix bound must be >= 0, got {_shown(k)}")
+        _check_width(m, len(values), sum(values), k)
+        _set(self, "m", m)
+        _set(self, "a", tuple(values))
+        _set(self, "k", k)
 
     @property
     def n(self) -> int:

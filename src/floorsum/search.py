@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations_with_replacement, islice
-from typing import Iterable, Iterator
 
-from .core import _check_width, eval_closed_all_k
+from .core import _check_width, _Record, _set, _shown, eval_closed_all_k
 from .exceptions import DomainError
 
 Site = tuple[tuple[int, ...], int]
@@ -50,41 +49,40 @@ DEFAULT_CAP = 1000
 _POOL_AFTER_S = 0.2
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(_Record):
     """Search parameters, plain ints: arity, modulus, K subrange and site cap.  A space
     whose widest cell overflows 64 bits raises ``InstanceTooLargeError`` on construction."""
 
-    n: int
-    m: int
-    k_range: tuple[int, int] | None = None
-    cap: int = DEFAULT_CAP
+    __slots__ = ("n", "m", "k_range", "cap")
 
-    def __post_init__(self) -> None:
-        k_range = self.k_range if self.k_range is not None else (0, self.m - 1)
-        if len(k_range) != 2 or any(type(v) is not int
-                                    for v in (self.n, self.m, self.cap, *k_range)):
+    def __init__(self, n: int, m: int, k_range: tuple[int, int] | None = None,
+                 cap: int = DEFAULT_CAP):
+        k_range = k_range if k_range is not None else (0, m - 1)
+        if len(k_range) != 2 or any(type(v) is not int for v in (n, m, cap, *k_range)):
             raise DomainError("n, m, cap and both ends of k_range must be ints")
-        if self.n < 1:
-            raise DomainError(f"arity must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.m}")
-        if self.cap < 1:
-            raise DomainError(f"site cap must be >= 1, got {self.cap}")
+        if n < 1:
+            raise DomainError(f"arity must be >= 1, got {_shown(n)}")
+        if m < 1:
+            raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
+        if cap < 1:
+            raise DomainError(f"site cap must be >= 1, got {_shown(cap)}")
         lo, hi = k_range
-        if not 0 <= lo <= hi <= self.m - 1:
-            raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {self.m - 1}, got {k_range}")
-        object.__setattr__(self, "k_range", (lo, hi))
+        if not 0 <= lo <= hi <= m - 1:
+            raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {_shown(m - 1)}, "
+                              f"got ({_shown(lo)}, {_shown(hi)})")
         # the widest cell: (m-1, ..., m-1) at K = m-1
-        _check_width(self.m, self.n, self.n * (self.m - 1), self.m - 1)
+        _check_width(m, n, n * (m - 1), m - 1)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "k_range", (lo, hi))
+        _set(self, "cap", cap)
 
     @property
     def multiset_count(self) -> int:
         return math.comb(self.m + self.n - 1, self.n)
 
 
-@dataclass(frozen=True)
-class ExtremeRecord:
+class ExtremeRecord(_Record):
     """Exact max/min over ``space`` plus the attaining sites.
 
     Site lists are in enumeration order and hold at most ``space.cap`` entries;
@@ -92,20 +90,24 @@ class ExtremeRecord:
     number is a plain int.
     """
 
-    space: SearchSpace
-    max_value: int
-    min_value: int
-    max_sites: tuple[Site, ...]
-    min_sites: tuple[Site, ...]
-    max_count: int
-    min_count: int
+    __slots__ = ("space", "max_value", "min_value", "max_sites", "min_sites",
+                 "max_count", "min_count")
 
-    def __post_init__(self) -> None:
-        sites = self.max_sites + self.min_sites
-        numbers = (self.max_value, self.min_value, self.max_count, self.min_count,
+    def __init__(self, space: SearchSpace, max_value: int, min_value: int,
+                 max_sites: tuple[Site, ...], min_sites: tuple[Site, ...],
+                 max_count: int, min_count: int):
+        sites = max_sites + min_sites
+        numbers = (max_value, min_value, max_count, min_count,
                    *(k for _, k in sites), *(v for a, _ in sites for v in a))
         if any(type(v) is not int for v in numbers):
             raise DomainError("a value, count or site of the record is not an int")
+        _set(self, "space", space)
+        _set(self, "max_value", max_value)
+        _set(self, "min_value", min_value)
+        _set(self, "max_sites", max_sites)
+        _set(self, "min_sites", min_sites)
+        _set(self, "max_count", max_count)
+        _set(self, "min_count", min_count)
 
     @property
     def truncated(self) -> bool:
@@ -115,7 +117,7 @@ class ExtremeRecord:
         """The space's fields, the record's own and ``truncated``, in one flat dict."""
         space = self.space
         return {"n": space.n, "m": space.m, "k_range": space.k_range, "cap": space.cap,
-                **{f.name: getattr(self, f.name) for f in fields(self)[1:]},
+                **{name: getattr(self, name) for name in self.__slots__[1:]},
                 "truncated": self.truncated}
 
     @classmethod
@@ -123,7 +125,7 @@ class ExtremeRecord:
         """Inverse of ``to_dict``; a missing field raises ``KeyError`` naming it,
         and a space that ``SearchSpace`` refuses raises as it does."""
         space = SearchSpace(data["n"], data["m"], tuple(data["k_range"]), data["cap"])
-        values = {f.name: data[f.name] for f in fields(cls)[1:]}
+        values = {name: data[name] for name in cls.__slots__[1:]}
         for side in ("max_sites", "min_sites"):
             values[side] = tuple((tuple(a), k) for a, k in values[side])
         return cls(space, **values)

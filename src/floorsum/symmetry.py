@@ -42,9 +42,7 @@ decomposes into three such deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Instance, eval_closed
+from .core import Instance, _Record, _set, eval_closed
 from .exceptions import DomainError, TableViolationError
 
 #: Proven difference value for each case id (wrap, tail) ->
@@ -52,29 +50,34 @@ from .exceptions import DomainError, TableViolationError
 CASE_VALUES = {1: 0, 2: -1, 3: 1, 4: 0}
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(_Record):
     """Value and case classification of one two-variable difference."""
 
-    value: int
-    case_id: int
-    cond_sum: bool   # a1 + a2 >= m
-    cond_tail: bool  # a2 + K - m + 1 > 0
+    __slots__ = ("value", "case_id", "cond_sum", "cond_tail")
+
+    def __init__(self, value: int, case_id: int,
+                 cond_sum: bool,    # a1 + a2 >= m
+                 cond_tail: bool):  # a2 + K - m + 1 > 0
+        _set(self, "value", value)
+        _set(self, "case_id", case_id)
+        _set(self, "cond_sum", cond_sum)
+        _set(self, "cond_tail", cond_tail)
 
 
-@dataclass(frozen=True)
-class BoxRecord:
+class BoxRecord(_Record):
     """Three-variable difference and the three deltas it decomposes into.
 
     value = components[0].value - components[1].value - components[2].value
     """
 
-    value: int
-    components: tuple[DeltaRecord, DeltaRecord, DeltaRecord]
+    __slots__ = ("value", "components")
+
+    def __init__(self, value: int, components: tuple[DeltaRecord, DeltaRecord, DeltaRecord]):
+        _set(self, "value", value)
+        _set(self, "components", components)
 
 
-@dataclass(frozen=True)
-class CaseBConditions:
+class CaseBConditions(_Record):
     """Truth values of the six predicates governing the +1 configuration.
 
     The three-variable difference can only equal +1 when the pair
@@ -82,12 +85,21 @@ class CaseBConditions:
     (a1, a3) give 0 (c2a XOR c2b, c3a XOR c3b).
     """
 
-    c1a: bool  # a1 + ((a2+a3) mod m) >= m
-    c1b: bool  # ((a2+a3) mod m) + K - m + 1 <= 0
-    c2a: bool  # a1 + a2 >= m
-    c2b: bool  # a2 + K - m + 1 <= 0
-    c3a: bool  # a1 + a3 >= m
-    c3b: bool  # a3 + K - m + 1 <= 0
+    __slots__ = ("c1a", "c1b", "c2a", "c2b", "c3a", "c3b")
+
+    def __init__(self,
+                 c1a: bool,   # a1 + ((a2+a3) mod m) >= m
+                 c1b: bool,   # ((a2+a3) mod m) + K - m + 1 <= 0
+                 c2a: bool,   # a1 + a2 >= m
+                 c2b: bool,   # a2 + K - m + 1 <= 0
+                 c3a: bool,   # a1 + a3 >= m
+                 c3b: bool):  # a3 + K - m + 1 <= 0
+        _set(self, "c1a", c1a)
+        _set(self, "c1b", c1b)
+        _set(self, "c2a", c2a)
+        _set(self, "c2b", c2b)
+        _set(self, "c3a", c3a)
+        _set(self, "c3b", c3b)
 
     @property
     def plus_one_config(self) -> bool:

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -167,6 +166,21 @@ def test_an_arity_past_the_decimal_digit_limit_exits_2(tmp_path):
         assert "worst-case intermediate (" in result.stderr, argv
         assert not path.exists(), argv
     assert invoke(["search", "--n", "20000", "--m", "3"]).stderr.endswith(message)
+
+
+def test_a_flag_value_past_the_decimal_digit_limit_is_echoed_cut_short():
+    # int() refuses text past 4300 digits, and the message quotes only its start
+    nines = "9" * 5000
+    for argv, message in [
+            (["eval", "--m", "5", "--a", f"2,{nines}", "--k", "1"],
+             f"Error: --a expects comma-separated integers, got '2,{nines[:38]}'... "
+             "(5002 characters)\n"),
+            (["eval", "--m", nines, "--a", "2", "--k", "1"],
+             f"Error: Invalid value for '--m': '{nines[:40]}'... (5000 characters) "
+             "is not a valid integer.\n")]:
+        result = invoke(argv)
+        assert result.exit_code == 2 and result.stdout == "", argv
+        assert result.stderr.endswith(message) and len(result.stderr) < 300, argv
 
 
 def test_format_stability():
@@ -486,7 +500,7 @@ def test_cache_put_refuses_a_record_a_load_would_discard(tmp_path):
         cache.put(space, other)
     # a record with a field that is not a plain int cannot even be built
     with pytest.raises(DomainError, match="not an int"):
-        replace(record, max_value=float(record.max_value))
+        record.replace(max_value=float(record.max_value))
     assert path.read_bytes() == stored
     assert cache.get(space) == record
     with warnings.catch_warnings():
@@ -713,16 +727,20 @@ def test_a_table_of_quick_searches_starts_no_pool(monkeypatch):
     assert (parallel.exit_code, parallel.output) == (0, serial.output)
 
 
-# Modules a query's start-up must not load: the pool's, a parser library's, and
-# those of the help and error paths.
-UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib"]
+# Modules a query's start-up must not load: the pool's, a parser library's, those
+# of the help and error paths, the dataclass machinery (and the inspect it
+# imports), and those that only f(n), JSON, CSV or annotations use.
+UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib", "dataclasses", "inspect",
+                      "fractions", "decimal", "json", "csv", "typing"]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
+    # -S skips the site module, whose .pth files may import any of these first
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import floorsum.cli, sys\n"
             f"print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 

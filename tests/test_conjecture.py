@@ -5,7 +5,6 @@ the recurrence by hand and is independently confirmed against exhaustive
 search in the acceptance suite.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -184,12 +183,12 @@ def test_verify_bounds_examples():
     assert report.upper_verdict == "holds-with-equality"
     # every verdict follows the record: a min below the conjectured lower
     # side breaks no proven one, so there is nothing to witness
-    doctored = replace(report, record=replace(report.record, min_value=-100))
+    doctored = report.replace(record=report.record.replace(min_value=-100))
     assert doctored.lower_verdict == "VIOLATED"
     assert doctored.upper_verdict == "holds-with-equality"
     assert not doctored.proven_violation and doctored.witnesses == ()
     # a broken proven side counts even when the record lists no sites for it
-    doctored = replace(report, record=replace(report.record, max_value=100, max_sites=()))
+    doctored = report.replace(record=report.record.replace(max_value=100, max_sites=()))
     assert doctored.proven_violation and doctored.witnesses == ()
 
     report = verify_bounds(2, 7)

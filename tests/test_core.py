@@ -6,6 +6,7 @@ time; the closed form is never used to generate its own expectations.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,26 @@ def test_instance_canonical_order_and_properties():
 def test_instance_rejects_bad_arguments(m, a, k):
     with pytest.raises(DomainError):
         Instance(m, a, k)
+
+
+@pytest.mark.parametrize("m, a, k", [
+    (5.0, (2,), 1), (5, (2.0,), 1), (5, (3, 2.5), 1), (5, (2,), 1.0),
+    (True, (0,), 0), (5, (True,), 1), (5, (3, False), 1), (5, (2,), True),
+])
+def test_instance_refuses_a_field_that_is_not_a_plain_int(m, a, k):
+    with pytest.raises(DomainError, match="must be ints"):
+        Instance(m, a, k)
+    with pytest.raises(DomainError, match="must be ints"):
+        inner_term(m, a, k)
+
+
+def test_instance_messages_stay_short_past_the_decimal_digit_limit():
+    huge = 10**5000  # str() refuses it with a plain ValueError
+    for m, a, k, shown in [(-huge, (1,), 0, "modulus must be >= 1, got -(16610 bits)"),
+                           (5, (2, -huge), 1, "elements must be >= 0, got -(16610 bits)"),
+                           (5, (2,), -huge, "prefix bound must be >= 0, got -(16610 bits)")]:
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            Instance(m, a, k)
 
 
 def test_closed_forms_reject_k_outside_proven_range():

@@ -4,13 +4,13 @@ import functools
 import math
 import multiprocessing
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from floorsum import (
     DomainError,
+    FloorSumError,
     ExtremeRecord,
     Instance,
     InstanceTooLargeError,
@@ -90,6 +90,20 @@ def test_search_space_refuses_a_field_that_is_not_a_plain_int():
             SearchSpace(*args)
 
 
+def test_search_space_messages_stay_short_past_the_decimal_digit_limit():
+    huge = 10**5000  # str() refuses it with a plain ValueError
+    for args, shown in [((3, huge, (0, huge)), "hi <= (16610 bits), got (0, (16610 bits))"),
+                        ((-huge, 5), "arity must be >= 1, got -(16610 bits)"),
+                        ((3, -huge), "modulus must be >= 1, got -(16610 bits)"),
+                        ((3, 5, None, -huge), "site cap must be >= 1, got -(16610 bits)"),
+                        ((3, 5, (-huge, 2)), "got (-(16610 bits), 2)")]:
+        with pytest.raises(FloorSumError) as raised:
+            SearchSpace(*args)
+        assert shown in str(raised.value)
+    with pytest.raises(FloorSumError, match=r"K=\(16610 bits\)\)$"):
+        SearchSpace(3, huge)
+
+
 def test_extremes_known_values():
     record = extremes(SearchSpace(4, 2))
     assert (record.max_value, record.min_value) == (4, 0)
@@ -146,8 +160,8 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
             full = reference_extremes(SearchSpace(n, m, k_range))
             for cap in (1, 2, DEFAULT_CAP):
                 space = SearchSpace(n, m, k_range, cap)
-                expected = replace(full, space=space, max_sites=full.max_sites[:cap],
-                                   min_sites=full.min_sites[:cap])
+                expected = full.replace(space=space, max_sites=full.max_sites[:cap],
+                                        min_sites=full.min_sites[:cap])
                 assert extremes(space) == expected, (n, m, k_range, cap)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)  # so workers 2 and 3 start a pool
     for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
