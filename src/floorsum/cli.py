@@ -32,7 +32,7 @@ import warnings
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, _Record, _set, eval_closed, eval_closed_all_k
+from .core import Instance, _Record, _set, _shown, eval_closed, eval_closed_all_k
 from .exceptions import DomainError, FloorSumError, TableViolationError
 from .search import DEFAULT_CAP, SearchSpace
 from .symmetry import CASE_VALUES, delta
@@ -380,17 +380,17 @@ def _scan(args: list[str], valued, switches: tuple[str, ...],
                     value = args.pop(0)
                 given[name] = value
             else:
-                raise _UsageError(_suggest(f"No such option {name!r}.", name,
+                raise _UsageError(_suggest(f"No such option {_quoted(name)}.", name,
                                            [*valued, *switches]))
     return given, switched, rest
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)``, or of its first 40 characters and its length past that,
+def _quoted(text: str, show=repr) -> str:
+    """``show(text)``, or of its first 40 characters and its length past that,
     so an error message stays short whatever it echoes."""
     if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def _convert(flag: str, kind: str, text: str):
@@ -401,7 +401,7 @@ def _convert(flag: str, kind: str, text: str):
         except ValueError:  # also past Python's 4300-digit limit
             problem = f"{_quoted(text)} is not a valid integer."
     elif kind == "format" and text not in _FORMATS:
-        problem = f"{text!r} is not one of {', '.join(map(repr, _FORMATS))}."
+        problem = f"{_quoted(text)} is not one of {', '.join(map(repr, _FORMATS))}."
     elif kind == "cache" and os.path.isdir(text):
         problem = f"File {text!r} is a directory."
     elif kind == "cache" and os.path.exists(text) and not os.access(text, os.R_OK):
@@ -437,8 +437,8 @@ def _checked(command: str, params: dict) -> dict:
     floors = {**_FLOORS, "n": 4} if command == "verify-conjecture" else _FLOORS
     for name, low in floors.items():
         value = params.get(name)
-        _require(value is None or value >= low,
-                 f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+        if value is not None and value < low:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {_shown(value)}")
     if "a" in params:
         params["a"] = _parse_multiset(params["a"])
     return params
@@ -471,19 +471,20 @@ def _parse(command: str, args: list[str]) -> RunConfig | None:
             params[field] = default
     if extra:
         plural = "s" if len(extra) > 1 else ""
-        raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        shown = _quoted(" ".join(extra), str)
+        raise _UsageError(f"Got unexpected extra argument{plural} ({shown})")
     if command == "delta-scan":
         _require((params["m"] is None) != (params["m_max"] is None),
                  "exactly one of --m / --m-max is required")
     config = RunConfig(command, **_checked(command, params))
     if command == "eval":
         _require(0 <= config.k <= config.m - 1,
-                 f"--k must be in [0, {config.m - 1}], got {config.k}")
+                 f"--k must be in [0, {_shown(config.m - 1)}], got {_shown(config.k)}")
     if command == "search":
         k_lo = 0 if config.k_lo is None else config.k_lo
         k_hi = config.m - 1 if config.k_hi is None else config.k_hi
         _require(0 <= k_lo <= k_hi <= config.m - 1,
-                 f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {config.m - 1}")
+                 f"--k-min/--k-max must satisfy 0 <= k_min <= k_max <= {_shown(config.m - 1)}")
         config = config.replace(k_lo=k_lo, k_hi=k_hi)
     return config
 
@@ -571,7 +572,7 @@ def cli(args: list[str], prog: str = "floorsum") -> int:
         if not rest:
             raise _UsageError("Missing command.")
         if rest[0] not in _COMMANDS:
-            raise _UsageError(_suggest(f"No such command {rest[0]!r}.", rest[0], _COMMANDS))
+            raise _UsageError(_suggest(f"No such command {_quoted(rest[0])}.", rest[0], _COMMANDS))
         command = rest[0]
         config = _parse(command, rest[1:])
         if config is None:

@@ -8,24 +8,35 @@ prefixes depth first, in enumeration order.  One fold keeps the running
 extremes inside a task and across task results, which are folded in
 enumeration order whatever the worker count.
 
-Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, with S_P(-1) = 0;
-let [L, U] be its range over one period.  Two bounds hold for every completion
-P+B by r more elements.  First, S_{P+b}(K) = S_P(K+b) - S_P(K) - S_P(b-1) maps
-[L, U] into [L-2U, U-2L], and r such maps bound S_{P+B}.  Second, with s_T
-the sum of a subset T of B,
+Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, with S_P(-1) = 0.
+A child P+b then has
 
-    S_{P+B}(K) = sum_{T subseteq B} (-1)^(r-|T|) [S_P(K+s_T) - S_P(s_T-1)],
+    S_{P+b}(K) = D_b(K) - S_P(b-1),   D_b(K) = S_P(K+b) - S_P(K) = sum_{j=1..b} f_P(K+j),
 
-since f_{P+B}(k) = sum_T (-1)^(r-|T|) f_P(k+s_T) and S_P(K+s) - S_P(s-1) sums
-f_P(k+s) over k = 0..K.  Each bracket lies in [L-U, U-L], so
-|S_{P+B}(K)| <= 2^r (U-L).  As L <= 0 <= U, r maps give the interval
-[-(3^r (U-L) - (-1)^r (U+L))/2, (3^r (U-L) + (-1)^r (U+L))/2], whose ends
-have size at least (3^r - 1)(U-L)/2 >= 2^r (U-L) once r >= 2; so the map
-is the tighter bound only at r = 1, and the 2^r bound beyond.  A subtree is
-skipped when its bound puts it strictly inside the running extremes (a tie
-adds a count and a site).  These start at seeds, the best cells of the near-constant
-multisets c^j (c-1)^(n-j): real cells, so every cell that ties or beats an
-extreme is still visited.
+since f_{P+b}(k) = f_P(k+b) - f_P(k).  With [L, U] the range of S_P over one
+period and [fmin, fmax] that of f_P, D_b lies in [max(L-U, b fmin),
+min(U-L, b fmax)], so S_{P+b} lies in that interval shifted by -S_P(b-1).
+
+Let [l, h] contain the range of S_Q for some Q with |Q| >= 2, w = h - l and
+p = 2^r - 1.  Every completion of Q by r more elements lies in
+
+    B_r(l, h) = [l - p w, h + p w]    for even r,
+                [-h - p w, -l + p w]  for odd r.
+
+By induction on r: B_0 is [l, h].  For r >= 1, a child Q+b has D_b in [-w, w]
+and s = S_Q(b-1) in [l, h], so its S lies in [-w - s, w - s], of width 2w.
+As (2^(r-1) - 1) 2w + w = p w, B_{r-1} of that interval is [-p w + s, p w + s]
+for odd r-1 and [-p w - s, p w - s] for even r-1 (B widens with its interval,
+so one that contains the range suffices), and s over [l, h] gives B_r.  B_1
+is the map [l, h] -> [l-2h, h-2l], and as l <= 0 <= h, B_r lies inside
+[-2^r w, 2^r w], the bound of expanding S over the 2^r subsets of the added
+elements.
+
+A node P with r elements still to add is skipped when B_r(L, U) lies strictly
+inside the running extremes, and a child P+b is built only when B_{r-1} of
+its interval above does not (a tie adds a count and a site).  The extremes
+start at seeds, the best cells of the near-constant multisets c^j (c-1)^(n-j):
+real cells, so every cell that ties or beats an extreme is still visited.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import os
 import time
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations_with_replacement, islice
+from operator import sub
 
 from .core import _check_width, _Record, _set, _shown, eval_closed_all_k
 from .exceptions import DomainError
@@ -170,37 +182,50 @@ class _Side:
 
 
 def _task(args: tuple[int, ...]) -> list[tuple]:
-    """Extremes over the multisets whose largest element is ``first``.  A
-    node carries its prefix's inner term f over one period; a child b is
-    f_{P+b}(k) = f_P(k+b) - f_P(k), and a leaf's values are f's prefix sums."""
+    """Extremes over the multisets whose largest element is ``first``.  A node
+    P with |P| >= 2 carries S_P over one period as a list d and an offset c,
+    S_P = d - c; a child b is d(K+b) - d(K) with offset S_P(b-1), and is
+    built only if its bound of the module docstring can reach an extreme."""
     n, m, first, k_lo, k_hi, cap, seed_max, seed_min = args
     sides = high, low = _Side(max, cap, seed_max), _Side(min, cap, seed_min)
 
-    def walk(a: tuple[int, ...], f: list[int]) -> None:
-        left = n - len(a)
-        if not left:
-            values = list(accumulate(f))[k_lo: k_hi + 1]
-            for side in sides:
-                best = side.pick(values)
-                # Build the site list only for a multiset that can enter it.
-                if side.admits(best):
-                    side.fold(best, values.count(best),
-                              ((a, k) for k, v in enumerate(values, k_lo) if v == best))
-            return
-        if len(a) >= 2:  # the bounds of the module docstring
-            s = list(accumulate(f))
-            lo, hi = min(s), max(s)
-            if left == 1:
-                lo, hi = lo - 2 * hi, hi - 2 * lo
-            else:
-                hi = (hi - lo) << left
-                lo = -hi
-            if hi < high.value and lo > low.value:
-                return
-        for b in range(a[-1], -1, -1):
-            walk(a + (b,), [x - y for x, y in zip(f[b:] + f[:b], f)])
+    def leaf(a: tuple[int, ...], d: list[int], c: int) -> None:
+        window = d[k_lo: k_hi + 1]
+        for side in sides:
+            top = side.pick(window)
+            # Build the site list only for a multiset that can enter it.
+            if side.admits(top - c):
+                side.fold(top - c, window.count(top),
+                          ((a, k) for k, v in enumerate(window, k_lo) if v == top))
 
-    walk((first,), [0] * (m - first) + [1] * first)
+    def reaches(lo: int, hi: int, r: int) -> bool:
+        # whether B_r of the module docstring, on [lo, hi], ties or passes an extreme
+        spread = ((1 << r) - 1) * (hi - lo)
+        if r & 1:
+            lo, hi = -hi, -lo
+        return hi + spread >= high.value or lo - spread <= low.value
+
+    def walk(a: tuple[int, ...], d: list[int], c: int) -> None:
+        left = n - len(a)
+        lo, hi = min(d) - c, max(d) - c
+        if not reaches(lo, hi, left):
+            return
+        f = list(map(sub, d, d[-1:] + d[:-1]))
+        f_lo, f_hi = min(f), max(f)
+        width = hi - lo
+        for b in range(a[-1], -1, -1):
+            offset = d[b - 1] - c  # S_P(b-1); S_P(-1) = S_P(m-1) = 0
+            if reaches(max(-width, b * f_lo) - offset, min(width, b * f_hi) - offset, left - 1):
+                (walk if left > 1 else leaf)(a + (b,), list(map(sub, d[b:] + d[:b], d)), offset)
+
+    # The root's S is not periodic (S(m-1) = first), so its children are
+    # built from its inner term f, and each by prefix sums.
+    f = [0] * (m - first) + [1] * first
+    if n == 1:
+        leaf((first,), list(accumulate(f)), 0)
+    else:
+        for b in range(first, -1, -1):
+            (walk if n > 2 else leaf)((first, b), list(accumulate(map(sub, f[b:] + f[:b], f))), 0)
     return [(side.value, side.count, side.sites) for side in sides]
 
 

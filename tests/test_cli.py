@@ -183,6 +183,35 @@ def test_a_flag_value_past_the_decimal_digit_limit_is_echoed_cut_short():
         assert result.stderr.endswith(message) and len(result.stderr) < 300, argv
 
 
+def test_every_usage_error_stays_short_whatever_it_echoes():
+    # text is cut to its first 40 characters and its length, and an int past
+    # 256 bits is given by its bit length
+    nines, long = "9" * 4000, "x" * 5000
+    eval_args = ["eval", "--m", "5", "--a", "2", "--k", "1"]
+    for argv, message in [
+            ([*eval_args, "--format", long],
+             f"Error: Invalid value for '--format': '{long[:40]}'... (5000 characters) "
+             "is not one of 'human', 'csv', 'json'.\n"),
+            ([*eval_args, long],
+             f"Error: Got unexpected extra argument ({long[:40]}... (5000 characters))\n"),
+            ([*eval_args, "a", long],
+             f"Error: Got unexpected extra arguments (a {long[:38]}... (5002 characters))\n"),
+            (["eval", "--m", "5", "--a", "2", "--k", nines],
+             "Error: --k must be in [0, 4], got (13288 bits)\n"),
+            (["eval", "--m", nines, "--a", "2", "--k", f"1{nines}"],
+             "Error: --k must be in [0, (13288 bits)], got (13289 bits)\n"),
+            (["search", "--n", f"-{nines}", "--m", "3"],
+             "Error: --n must be >= 1, got -(13288 bits)\n"),
+            (["search", "--n", "2", "--m", nines, "--k-max", "0", "--k-min", "1"],
+             "Error: --k-min/--k-max must satisfy 0 <= k_min <= k_max <= (13288 bits)\n"),
+            (["search", f"--{long}"],
+             f"Error: No such option '--{long[:38]}'... (5002 characters).\n"),
+            ([long], f"Error: No such command '{long[:40]}'... (5000 characters).\n")]:
+        result = invoke(argv)
+        assert result.exit_code == 2 and result.stdout == "", argv[:2]
+        assert result.stderr.endswith(message) and len(result.stderr) < 300, argv[:2]
+
+
 def test_format_stability():
     for fmt in ("csv", "json"):
         first = invoke(["search", "--n", "3", "--m", "7", "--format", fmt])
@@ -766,15 +795,15 @@ def test_only_main_freezes_the_gc(code, stdout):
     assert out.stdout == stdout
 
 
-# n = 14, m = 28 searches for about 8 s at --workers 1 and 5 s at 2 on a 2-core
-# host, so a signal 2 s after the start reaches it mid-search; at --workers 2
-# the pool has started by then (after about 1 s, when a task first ends past
-# the in-process limit).
+# n = 14, m = 40 searches for about 15 s at --workers 1 and 8.5 s at 2 on a
+# 2-core host, so a signal 2 s after the start reaches it mid-search; at
+# --workers 2 the pool has started by then (after about 0.3 s, when a task
+# first ends past the in-process limit).
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_ctrl_c_prints_only_aborted(workers):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "floorsum.cli", "search", "--n", "14", "--m", "28",
+        [sys.executable, "-m", "floorsum.cli", "search", "--n", "14", "--m", "40",
          "--workers", workers],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,

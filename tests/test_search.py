@@ -18,6 +18,7 @@ from floorsum import (
     eval_closed,
     eval_direct,
     extremes,
+    inner_term,
     search,
     sequence_table,
 )
@@ -191,8 +192,8 @@ def test_constant_seeds_sweep_once_per_space(monkeypatch):
 def test_subset_expansion_bound_holds_for_every_completion():
     # S_P over one period spans [lo, hi]; after r more elements every S value
     # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo], and
-    # in [-2^r (hi - lo), 2^r (hi - lo)], the bound of the search module
-    # docstring, which for r >= 2 lies inside the iterated map
+    # in [-2^r (hi - lo), 2^r (hi - lo)], which for r >= 2 lies inside the
+    # iterated map; the search module docstring's B_r lies inside both
     @functools.cache
     def values(m, a):
         return [eval_direct(Instance(m, a, k)) for k in range(m)]
@@ -212,6 +213,48 @@ def test_subset_expansion_bound_holds_for_every_completion():
                     assert n - size == 1 or lo <= -width <= width <= hi, (m, a, size)
                     pairs += 1
     assert pairs == 19_734
+
+
+def test_child_bound_holds_for_every_completion():
+    # for a prefix P with |P| >= 2, S_P over one period spanning [lo, hi] and
+    # f_P spanning [f_lo, f_hi], a next element b gives S_{P+b} inside
+    # [dl, dh] = [max(lo - hi, b f_lo), min(hi - lo, b f_hi)] - S_P(b-1), and
+    # a completion by r more elements lies inside B_r of the search module
+    # docstring, of [lo, hi] from P and of [dl, dh] from P+b; B_r lies inside
+    # [-2^r w, 2^r w] for w the interval's width
+    @functools.cache
+    def values(m, a):
+        return [eval_direct(Instance(m, a, k)) for k in range(m)]
+
+    @functools.cache
+    def inner_range(m, a):
+        f = [inner_term(m, a, k) for k in range(m)]
+        return min(f), max(f)
+
+    def bound(lo, hi, r):
+        spread = ((1 << r) - 1) * (hi - lo)
+        return (lo - spread, hi + spread) if r % 2 == 0 else (-hi - spread, -lo + spread)
+
+    pairs = 0
+    for m in range(1, 11):
+        for n in range(3, 7 if m <= 8 else 6):
+            for a in enumerate_multisets(n, m):
+                full = min(values(m, a)), max(values(m, a))
+                for size in range(2, n):
+                    prefix, b = values(m, a[:size]), a[size]
+                    f_lo, f_hi = inner_range(m, a[:size])
+                    lo, hi = min(prefix), max(prefix)
+                    offset = prefix[b - 1]  # S_P(-1) = S_P(m-1) = 0
+                    dl = max(lo - hi, b * f_lo) - offset
+                    dh = min(hi - lo, b * f_hi) - offset
+                    child = values(m, a[:size + 1])
+                    assert dl <= min(child) and max(child) <= dh, (m, a, size)
+                    for l, h, r in [(lo, hi, n - size), (dl, dh, n - size - 1)]:
+                        low, high = bound(l, h, r)
+                        assert low <= full[0] and full[1] <= high, (m, a, size, r)
+                        assert -((h - l) << r) <= low and high <= (h - l) << r, (m, a, size, r)
+                    pairs += 1
+    assert pairs == 33_462
 
 
 def fake_pool(monkeypatch, received=None) -> list[int]:
@@ -297,13 +340,16 @@ def test_a_quick_search_runs_in_process_at_two_workers(monkeypatch):
     assert extremes(space, workers=2) == extremes(space, workers=1)
 
 
-# Records of shapes beyond the oracle's reach, as the walk without the 2^r
-# bound and near-constant seeds found them: (n, m): (max, min, max count,
-# min count, first max site, first min site).
+# Records of shapes beyond the oracle's reach: (n, m): (max, min, max count,
+# min count, first max site, first min site).  The first three are as the walk
+# without the 2^r bound and near-constant seeds found them, the last two as
+# the walk that built every child before bounding it found them.
 FRONTIER_RECORDS = {
     (9, 20): (720, -1280, 2, 1, ((12,) * 9, 11), ((10,) * 9, 9)),
     (10, 18): (2304, -1164, 1, 8, ((9,) * 10, 8), ((11,) * 6 + (10,) * 4, 9)),
     (12, 14): (7168, -4396, 1, 2, ((7,) * 12, 6), ((8,) * 12, 7)),
+    (13, 21): (13188, -18732, 2, 2, ((12,) * 13, 11), ((11,) * 7 + (10,) * 6, 9)),
+    (12, 25): (11414, -7310, 4, 8, ((13,) * 7 + (12,) * 5, 11), ((15,) * 4 + (14,) * 8, 13)),
 }
 
 
