@@ -32,7 +32,7 @@ import warnings
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, _Record, _set, _shown, eval_closed, eval_closed_all_k
+from .core import Instance, _Record, _shown, eval_closed, eval_closed_all_k
 from .exceptions import DomainError, FloorSumError, TableViolationError
 from .search import DEFAULT_CAP, SearchSpace
 from .symmetry import CASE_VALUES, delta
@@ -53,19 +53,8 @@ class RunConfig(_Record):
                  n_max: int | None = None, m_max: int | None = None, k: int | None = None,
                  k_lo: int | None = None, k_hi: int | None = None,
                  a: tuple[int, ...] | None = None, cap: int | None = None):
-        _set(self, "command", command)
-        _set(self, "fmt", fmt)
-        _set(self, "workers", workers)
-        _set(self, "cache_path", cache_path)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "n_max", n_max)
-        _set(self, "m_max", m_max)
-        _set(self, "k", k)
-        _set(self, "k_lo", k_lo)
-        _set(self, "k_hi", k_hi)
-        _set(self, "a", a)
-        _set(self, "cap", cap)
+        super().__init__(command, fmt, workers, cache_path, n, m, n_max, m_max, k, k_lo, k_hi,
+                         a, cap)
 
     def to_dict(self) -> dict:
         """Serializable form: the mathematical query only, unset fields left
@@ -232,18 +221,19 @@ def _scan_one_m(m: int) -> dict:
     One ``eval_closed_all_k`` sweep per pair gives S({a1, a2}, K) at every
     K, and S({a1+1, a2}, K-1) is read from the sweep of ((a1+1) mod m, a2):
     for n >= 2 only residues matter (see ``symmetry``), so a1 = m-1 reads
-    the all-zero sweep of a1 = 0.  Each cell is classified as ``delta``
-    classifies it and checked against ``CASE_VALUES``.  On a mismatch the
-    cell is recomputed by ``delta``, which raises its own
-    ``TableViolationError``; if it does not, the two routes disagree, and
-    that is raised naming both values.
+    the all-zero sweep of a1 = 0; only rows a1, a1+1 and 0 are held.  Each
+    cell is classified as ``delta`` classifies it and checked against
+    ``CASE_VALUES``.  On a mismatch the cell is recomputed by ``delta``,
+    which raises its own ``TableViolationError``; if it does not, the two
+    routes disagree, and that is raised naming both values.
     """
-    sweeps = [[eval_closed_all_k(m, (a1, a2)) for a2 in range(m)] for a1 in range(m)]
     counts = [0] * 5  # by case id; index 0 unused
     sorted_case2 = 0
+    first = this_row = [eval_closed_all_k(m, (0, a2)) for a2 in range(m)]
     for a1 in range(m):
+        next_row = first if a1 == m - 1 else [eval_closed_all_k(m, (a1 + 1, a2)) for a2 in range(m)]
         for a2 in range(m):
-            here, shifted = sweeps[a1][a2], sweeps[(a1 + 1) % m][a2]
+            here, shifted = this_row[a2], next_row[a2]
             cond_sum = a1 + a2 >= m
             for k in range(1, m // 2):
                 case_id = 1 + (a2 + k - m + 1 > 0) + 2 * cond_sum
@@ -255,6 +245,7 @@ def _scan_one_m(m: int) -> dict:
                         f"delta gives {record.value}")
                 counts[case_id] += 1
                 sorted_case2 += a1 >= a2 and case_id == 2
+        this_row = next_row
     return dict(zip(_SCAN_HEADER, [m, sum(counts), *counts[1:], sorted_case2]))
 
 

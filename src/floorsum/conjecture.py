@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .cache import ResultCache, cached_extremes
-from .core import Instance, _Record, _set, eval_closed
+from .core import Instance, _Record, eval_closed
 from .exceptions import DivisibilityError, DomainError
 # Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
 from .search import ExtremeRecord, SearchSpace, Site, extremes
@@ -112,9 +112,7 @@ class PredictedSite(_Record):
     __slots__ = ("a", "k", "divisor")
 
     def __init__(self, a: tuple[int, ...], k: int, divisor: int):
-        _set(self, "a", a)
-        _set(self, "k", k)
-        _set(self, "divisor", divisor)
+        super().__init__(a, k, divisor)
 
 
 def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
@@ -158,10 +156,7 @@ class Bound(_Record):
     def __init__(self, value: int | Fraction | None,
                  status: str,  # "proven" | "conjectured"
                  formula: str, note: str | None = None):
-        _set(self, "value", value)
-        _set(self, "status", status)
-        _set(self, "formula", formula)
-        _set(self, "note", note)
+        super().__init__(value, status, formula, note)
 
 
 _EVEN_M_NOTE = "proof stated under the hypothesis that m is even"
@@ -218,9 +213,7 @@ class BoundsReport(_Record):
     __slots__ = ("record", "lower", "upper")
 
     def __init__(self, record: ExtremeRecord, lower: Bound, upper: Bound):
-        _set(self, "record", record)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
+        super().__init__(record, lower, upper)
 
     @property
     def lower_verdict(self) -> str:
@@ -276,9 +269,7 @@ class SiteCheck(_Record):
     __slots__ = ("site", "value", "attains")
 
     def __init__(self, site: PredictedSite, value: int, attains: bool):
-        _set(self, "site", site)
-        _set(self, "value", value)
-        _set(self, "attains", attains)
+        super().__init__(site, value, attains)
 
 
 class ConjectureReport(_Record):
@@ -297,13 +288,7 @@ class ConjectureReport(_Record):
     def __init__(self, record: ExtremeRecord, part: int, block_index: int, side: str,
                  predicted_value: Fraction, site_checks: tuple[SiteCheck, ...],
                  sites_exact: bool | None):
-        _set(self, "record", record)
-        _set(self, "part", part)
-        _set(self, "block_index", block_index)
-        _set(self, "side", side)
-        _set(self, "predicted_value", predicted_value)
-        _set(self, "site_checks", site_checks)
-        _set(self, "sites_exact", sites_exact)
+        super().__init__(record, part, block_index, side, predicted_value, site_checks, sites_exact)
 
     @property
     def search_value(self) -> int:

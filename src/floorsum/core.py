@@ -19,7 +19,7 @@ every evaluator takes or builds; it also rejects, up front, a triple whose
 worst-case intermediates would not fit in a signed 64-bit word.
 
 ``_Record`` is the base of every record type in the package: an immutable
-value whose fields are its ``__slots__``, set once by its own ``__init__``.
+value whose fields are its ``__slots__``, bound once by the base's ``__init__``.
 """
 
 from __future__ import annotations
@@ -55,18 +55,29 @@ def _check_width(m: int, n: int, total: int, k: int) -> None:
     )
 
 
-# Sets a field from a record's ``__init__``; records refuse plain assignment.
-_set = object.__setattr__
+def _plain_ints(values) -> bool:
+    """Whether every value is a plain int (a bool is not)."""
+    return all(type(v) is int for v in values)
 
 
 class _Record:
     """An immutable value record.  Its fields are its class's ``__slots__``, in
-    order, and its class's ``__init__`` checks them and sets each once with
-    ``_set``.  A record equals, and hashes as, a record of the same class with
-    equal fields; ``replace`` and unpickling rebuild through ``__init__``, so
-    its checks run again."""
+    the order of its constructor's parameters: the constructor checks and
+    canonicalises its arguments and ends in one ``super().__init__(...)``,
+    which binds the values to ``__slots__`` in order, so passing too many or
+    too few raises ``TypeError``.  A record equals, and hashes as, a record of
+    the same class with equal fields; ``replace`` and unpickling rebuild
+    through ``__init__``, so its checks run again."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(names)} field "
+                            f"values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)  # the class's own refuses
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -112,11 +123,8 @@ class Instance(_Record):
 
     def __init__(self, m: int, a: Sequence[int], k: int):
         values = sorted(a, reverse=True)
-        if type(m) is not int or type(k) is not int:
+        if not _plain_ints((m, k, *values)):
             raise DomainError("m, k and every element of the multiset must be ints")
-        for v in values:
-            if type(v) is not int:
-                raise DomainError("m, k and every element of the multiset must be ints")
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
         if not values:
@@ -126,9 +134,7 @@ class Instance(_Record):
         if k < 0:
             raise DomainError(f"prefix bound must be >= 0, got {_shown(k)}")
         _check_width(m, len(values), sum(values), k)
-        _set(self, "m", m)
-        _set(self, "a", tuple(values))
-        _set(self, "k", k)
+        super().__init__(m, tuple(values), k)
 
     @property
     def n(self) -> int:

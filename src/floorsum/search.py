@@ -48,7 +48,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations_with_replacement, islice
 from operator import sub
 
-from .core import _check_width, _Record, _set, _shown, eval_closed_all_k
+from .core import _check_width, _plain_ints, _Record, _shown, eval_closed_all_k
 from .exceptions import DomainError
 
 Site = tuple[tuple[int, ...], int]
@@ -70,7 +70,7 @@ class SearchSpace(_Record):
     def __init__(self, n: int, m: int, k_range: tuple[int, int] | None = None,
                  cap: int = DEFAULT_CAP):
         k_range = k_range if k_range is not None else (0, m - 1)
-        if len(k_range) != 2 or any(type(v) is not int for v in (n, m, cap, *k_range)):
+        if len(k_range) != 2 or not _plain_ints((n, m, cap, *k_range)):
             raise DomainError("n, m, cap and both ends of k_range must be ints")
         if n < 1:
             raise DomainError(f"arity must be >= 1, got {_shown(n)}")
@@ -84,10 +84,7 @@ class SearchSpace(_Record):
                               f"got ({_shown(lo)}, {_shown(hi)})")
         # the widest cell: (m-1, ..., m-1) at K = m-1
         _check_width(m, n, n * (m - 1), m - 1)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "k_range", (lo, hi))
-        _set(self, "cap", cap)
+        super().__init__(n, m, (lo, hi), cap)
 
     @property
     def multiset_count(self) -> int:
@@ -111,15 +108,9 @@ class ExtremeRecord(_Record):
         sites = max_sites + min_sites
         numbers = (max_value, min_value, max_count, min_count,
                    *(k for _, k in sites), *(v for a, _ in sites for v in a))
-        if any(type(v) is not int for v in numbers):
+        if not _plain_ints(numbers):
             raise DomainError("a value, count or site of the record is not an int")
-        _set(self, "space", space)
-        _set(self, "max_value", max_value)
-        _set(self, "min_value", min_value)
-        _set(self, "max_sites", max_sites)
-        _set(self, "min_sites", min_sites)
-        _set(self, "max_count", max_count)
-        _set(self, "min_count", min_count)
+        super().__init__(space, max_value, min_value, max_sites, min_sites, max_count, min_count)
 
     @property
     def truncated(self) -> bool:

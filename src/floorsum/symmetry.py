@@ -42,7 +42,7 @@ decomposes into three such deltas.
 
 from __future__ import annotations
 
-from .core import Instance, _Record, _set, eval_closed
+from .core import Instance, _Record, eval_closed
 from .exceptions import DomainError, TableViolationError
 
 #: Proven difference value for each case id (wrap, tail) ->
@@ -58,10 +58,7 @@ class DeltaRecord(_Record):
     def __init__(self, value: int, case_id: int,
                  cond_sum: bool,    # a1 + a2 >= m
                  cond_tail: bool):  # a2 + K - m + 1 > 0
-        _set(self, "value", value)
-        _set(self, "case_id", case_id)
-        _set(self, "cond_sum", cond_sum)
-        _set(self, "cond_tail", cond_tail)
+        super().__init__(value, case_id, cond_sum, cond_tail)
 
 
 class BoxRecord(_Record):
@@ -73,8 +70,7 @@ class BoxRecord(_Record):
     __slots__ = ("value", "components")
 
     def __init__(self, value: int, components: tuple[DeltaRecord, DeltaRecord, DeltaRecord]):
-        _set(self, "value", value)
-        _set(self, "components", components)
+        super().__init__(value, components)
 
 
 class CaseBConditions(_Record):
@@ -94,12 +90,7 @@ class CaseBConditions(_Record):
                  c2b: bool,   # a2 + K - m + 1 <= 0
                  c3a: bool,   # a1 + a3 >= m
                  c3b: bool):  # a3 + K - m + 1 <= 0
-        _set(self, "c1a", c1a)
-        _set(self, "c1b", c1b)
-        _set(self, "c2a", c2a)
-        _set(self, "c2b", c2b)
-        _set(self, "c3a", c3a)
-        _set(self, "c3b", c3b)
+        super().__init__(c1a, c1b, c2a, c2b, c3a, c3b)
 
     @property
     def plus_one_config(self) -> bool:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -339,6 +340,17 @@ def test_delta_scan_reports_a_sweep_that_disagrees_with_delta(monkeypatch):
     assert result.exit_code == 3
     assert result.stderr == ("TABLE VIOLATION (implementation bug): delta(6, 0, 2, 1): "
                              f"all-K sweeps give {true_value - 1}, delta gives {true_value}\n")
+
+
+def test_delta_scan_holds_rows_of_sweeps_not_all_of_them():
+    # Holding all m^2 sweeps of m ints each peaked at 5.13 MB.
+    tracemalloc.start()
+    try:
+        floorsum.cli._scan_one_m(80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # ------------------------------------------------------- several bad flags

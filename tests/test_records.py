@@ -3,6 +3,7 @@ field equality within a type, hashing, a fixed repr, pickling and a
 re-validating ``replace``."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from floorsum import (
     verify_conjecture,
 )
 from floorsum.cli import RunConfig
+from floorsum.core import _Record
 
 # One record of every type, built afresh by each call, and its repr as the
 # dataclass-based records printed it.
@@ -144,3 +146,23 @@ def test_replace_runs_the_checks_again():
 def test_replace_of_an_unknown_field_raises_type_error():
     with pytest.raises(TypeError):
         SearchSpace(3, 6).replace(size=4)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_record_constructor_takes_its_fields_in_slot_order(name):
+    record_type = type(RECORDS[name][0]())
+    params = list(inspect.signature(record_type.__init__).parameters)
+    assert params[0] == "self" and tuple(params[1:]) == record_type.__slots__
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_base_binds_exactly_one_value_per_field(name):
+    record = RECORDS[name][0]()
+    values = _fields(record)
+    blank = object.__new__(type(record))
+    with pytest.raises(TypeError):
+        _Record.__init__(blank, *values, None)
+    with pytest.raises(TypeError):
+        _Record.__init__(blank, *values[:-1])
+    _Record.__init__(blank, *values)
+    assert blank == record and repr(blank) == repr(record)
