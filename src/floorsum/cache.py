@@ -115,6 +115,8 @@ def sequence_table(n: int, m_max: int, workers: int = 1,
     """(max S_m)_{m=1..m_max} and (min S_m)_{m=1..m_max}, each m via ``cached_extremes``."""
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
+    for m in range(1, m_max + 1):  # refuse an oversize space before any search writes the cache
+        SearchSpace(n, m)
     maxima, minima = [], []
     for m in range(1, m_max + 1):
         record = cached_extremes(SearchSpace(n, m), workers=workers, cache=cache)

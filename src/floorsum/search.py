@@ -4,9 +4,10 @@ For fixed (n, m) the search space is every multiset A over {0..m-1}
 (the sum is symmetric in the elements, so tuples would only repeat
 work) crossed with every K in a subrange of [0, m-1].  The work splits
 into one task per largest element; a task walks its nonincreasing
-prefixes depth first, in enumeration order.  One fold keeps the running
-extremes inside a task and across task results, which are folded in
-enumeration order whatever the worker count.
+prefixes depth first, in enumeration order.  Every prefix P, the root (first,)
+included, carries its inner term f_P over one period, and S_P is its prefix
+sums.  One fold keeps the running extremes inside a task and across task
+results, which are folded in enumeration order whatever the worker count.
 
 Pruning.  For |P| >= 2, S_P(m-1) = 0 makes S_P m-periodic, with S_P(-1) = 0.
 A child P+b then has
@@ -32,10 +33,11 @@ is the map [l, h] -> [l-2h, h-2l], and as l <= 0 <= h, B_r lies inside
 [-2^r w, 2^r w], the bound of expanding S over the 2^r subsets of the added
 elements.
 
-A node P with r elements still to add is skipped when B_r(L, U) lies strictly
-inside the running extremes, and a child P+b is built only when B_{r-1} of
-its interval above does not (a tie adds a count and a site).  The extremes
-start at seeds, the best cells of the near-constant multisets c^j (c-1)^(n-j):
+A node P with |P| >= 2 and r elements still to add is skipped when B_r(L, U)
+lies strictly inside the running extremes, and a child P+b is built only when
+B_{r-1} of its interval above does not (a tie adds a count and a site).  The
+root, whose S is not periodic, is never skipped and builds every child.
+Extremes start at seeds, the best cells of the near-constant multisets c^j (c-1)^(n-j):
 real cells, so every cell that ties or beats an extreme is still visited.
 """
 
@@ -173,21 +175,11 @@ class _Side:
 
 
 def _task(args: tuple[int, ...]) -> list[tuple]:
-    """Extremes over the multisets whose largest element is ``first``.  A node
-    P with |P| >= 2 carries S_P over one period as a list d and an offset c,
-    S_P = d - c; a child b is d(K+b) - d(K) with offset S_P(b-1), and is
-    built only if its bound of the module docstring can reach an extreme."""
+    """Extremes over the multisets whose largest element is ``first``, by one
+    recursion: every prefix P carries f_P, a child b is f_P(k+b) - f_P(k), the
+    root is never skipped, and from |P| >= 2 on the module docstring's bounds prune."""
     n, m, first, k_lo, k_hi, cap, seed_max, seed_min = args
     sides = high, low = _Side(max, cap, seed_max), _Side(min, cap, seed_min)
-
-    def leaf(a: tuple[int, ...], d: list[int], c: int) -> None:
-        window = d[k_lo: k_hi + 1]
-        for side in sides:
-            top = side.pick(window)
-            # Build the site list only for a multiset that can enter it.
-            if side.admits(top - c):
-                side.fold(top - c, window.count(top),
-                          ((a, k) for k, v in enumerate(window, k_lo) if v == top))
 
     def reaches(lo: int, hi: int, r: int) -> bool:
         # whether B_r of the module docstring, on [lo, hi], ties or passes an extreme
@@ -196,27 +188,33 @@ def _task(args: tuple[int, ...]) -> list[tuple]:
             lo, hi = -hi, -lo
         return hi + spread >= high.value or lo - spread <= low.value
 
-    def walk(a: tuple[int, ...], d: list[int], c: int) -> None:
+    def walk(a: tuple[int, ...], f: Iterable[int]) -> None:
         left = n - len(a)
-        lo, hi = min(d) - c, max(d) - c
-        if not reaches(lo, hi, left):
+        if not left:
+            # A child's f is an iterator, read once by a leaf into S over the K range.
+            window = list(islice(accumulate(f), k_lo, k_hi + 1))
+            for side in sides:
+                top = side.pick(window)
+                # Build the site list only for a multiset that can enter it.
+                if side.admits(top):
+                    side.fold(top, window.count(top),
+                              ((a, k) for k, v in enumerate(window, k_lo) if v == top))
             return
-        f = list(map(sub, d, d[-1:] + d[:-1]))
-        f_lo, f_hi = min(f), max(f)
-        width = hi - lo
+        f = list(f)
+        s = list(accumulate(f))
+        root = len(a) == 1
+        if not root:
+            lo, hi = min(s), max(s)
+            if not reaches(lo, hi, left):
+                return
+            f_lo, f_hi, width = min(f), max(f), hi - lo
         for b in range(a[-1], -1, -1):
-            offset = d[b - 1] - c  # S_P(b-1); S_P(-1) = S_P(m-1) = 0
-            if reaches(max(-width, b * f_lo) - offset, min(width, b * f_hi) - offset, left - 1):
-                (walk if left > 1 else leaf)(a + (b,), list(map(sub, d[b:] + d[:b], d)), offset)
+            offset = s[b - 1]  # S_P(b-1); S_P(-1) = S_P(m-1) = 0 once |P| >= 2
+            if root or reaches(max(-width, b * f_lo) - offset, min(width, b * f_hi) - offset,
+                               left - 1):
+                walk(a + (b,), map(sub, f[b:] + f[:b], f))
 
-    # The root's S is not periodic (S(m-1) = first), so its children are
-    # built from its inner term f, and each by prefix sums.
-    f = [0] * (m - first) + [1] * first
-    if n == 1:
-        leaf((first,), list(accumulate(f)), 0)
-    else:
-        for b in range(first, -1, -1):
-            (walk if n > 2 else leaf)((first, b), list(accumulate(map(sub, f[b:] + f[:b], f))), 0)
+    walk((first,), [0] * (m - first) + [1] * first)
     return [(side.value, side.count, side.sites) for side in sides]
 
 

@@ -148,7 +148,8 @@ def test_oversize_space_exits_before_its_cache_file_is_created(tmp_path):
     result = invoke(["search", "--n", "70", "--m", "3", "--cache", str(path)])
     assert result.exit_code == 2 and result.stderr.endswith(message)
     assert not path.exists()
-    for argv in (["table", "--n", "70", "--m-max", "3"], ["verify-bounds", "--n", "70", "--m", "3"]):
+    for argv in (["table", "--n", "70", "--m-max", "3"], ["table", "--n", "62", "--m-max", "2"],
+                 ["verify-bounds", "--n", "70", "--m", "3"]):
         result = invoke([*argv, "--cache", str(path)])
         assert result.exit_code == 2 and "worst-case intermediate" in result.stderr, argv
         assert not path.exists(), argv

@@ -7,6 +7,8 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floorsum import (
     DomainError,
@@ -169,6 +171,33 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
         expected = reference_extremes(space)
         for w in (2, 3):
             assert extremes(space, workers=w) == expected, (space, w)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_walk_is_exact_from_any_seeds_inside_the_value_range(data):
+    # Any seeds between the true min and max are sound starting extremes: the
+    # walk still visits every cell that ties or beats one, so pruning at every
+    # strength gives the oracle's record, through the task contract the pool uses.
+    n = data.draw(st.integers(1, 7), label="n")
+    m_top = max(m for m in range(1, 142) if math.comb(m + n - 1, n) * m <= 20_000)
+    m = data.draw(st.integers(1, m_top), label="m")
+    k_lo = data.draw(st.integers(0, m - 1), label="k_lo")
+    k_hi = data.draw(st.integers(k_lo, m - 1), label="k_hi")
+    cap = data.draw(st.sampled_from([1, 2, 3, DEFAULT_CAP]), label="cap")
+    space = SearchSpace(n, m, (k_lo, k_hi), cap)
+    expected = reference_extremes(space)
+    seeds = st.integers(expected.min_value, expected.max_value)
+    seed_max, seed_min = data.draw(seeds, label="seed_max"), data.draw(seeds, label="seed_min")
+    top, bottom = search._Side(max, cap, seed_max), search._Side(min, cap, seed_min)
+    for first in range(m - 1, -1, -1):
+        result = search._task((n, m, first, k_lo, k_hi, cap, seed_max, seed_min))
+        for side, (value, count, sites) in zip((top, bottom), result):
+            side.fold(value, count, sites)
+    folded = ExtremeRecord(space, top.value, bottom.value, tuple(top.sites),
+                           tuple(bottom.sites), top.count, bottom.count)
+    assert folded == expected
+    assert extremes(space) == expected
 
 
 def test_constant_seeds_sweep_once_per_space(monkeypatch):
