@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _at_least
 from .search import ExtremeRecord, SearchSpace, extremes
 
 
@@ -113,8 +113,7 @@ def cached_extremes(space: SearchSpace, workers: int = 1,
 def sequence_table(n: int, m_max: int, workers: int = 1,
                    cache: ResultCache | None = None) -> tuple[list[int], list[int]]:
     """(max S_m)_{m=1..m_max} and (min S_m)_{m=1..m_max}, each m via ``cached_extremes``."""
-    if m_max < 1:
-        raise DomainError(f"m_max must be >= 1, got {m_max}")
+    _at_least("m_max", m_max, 1)
     for m in range(1, m_max + 1):  # refuse an oversize space before any search writes the cache
         SearchSpace(n, m)
     maxima, minima = [], []

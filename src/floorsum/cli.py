@@ -32,8 +32,8 @@ import warnings
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, _Record, _shown, eval_closed, eval_closed_all_k
-from .exceptions import DomainError, FloorSumError, TableViolationError
+from .core import Instance, _Record, eval_closed, eval_closed_all_k
+from .exceptions import DomainError, FloorSumError, TableViolationError, _at_least, _shown
 from .search import DEFAULT_CAP, SearchSpace
 from .symmetry import CASE_VALUES, delta
 
@@ -427,9 +427,8 @@ def _checked(command: str, params: dict) -> dict:
     error in any order on the command line."""
     floors = {**_FLOORS, "n": 4} if command == "verify-conjecture" else _FLOORS
     for name, low in floors.items():
-        value = params.get(name)
-        if value is not None and value < low:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {_shown(value)}")
+        if params.get(name) is not None:
+            _at_least(f"--{name.replace('_', '-')}", params[name], low)
     if "a" in params:
         params["a"] = _parse_multiset(params["a"])
     return params
@@ -531,8 +530,6 @@ def _finish(config: RunConfig) -> int:
     except TableViolationError as exc:
         sys.stderr.write(f"TABLE VIOLATION (implementation bug): {exc}\n")
         return EXIT_BUG
-    except FloorSumError as exc:  # invalid input, divisibility or an oversize instance
-        raise _UsageError(str(exc))
     except OSError as exc:
         if exc.filename is None:  # the cache is the only file a command touches
             raise
@@ -570,8 +567,8 @@ def cli(args: list[str], prog: str = "floorsum") -> int:
             sys.stdout.write(_help(prog, command))
             return EXIT_OK
         return _finish(config)
-    except _UsageError as exc:
-        if not exc.bare:
+    except (_UsageError, FloorSumError) as exc:  # invalid input, divisibility, oversize
+        if not getattr(exc, "bare", False):
             path = prog if command is None else f"{prog} {command}"
             sys.stderr.write(f"Usage: {_usage(prog, command)}\nTry '{path} --help' for help.\n\n")
         sys.stderr.write(f"Error: {exc}\n")

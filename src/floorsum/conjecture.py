@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 
 from .cache import ResultCache, cached_extremes
 from .core import Instance, _Record, eval_closed
-from .exceptions import DivisibilityError, DomainError
+from .exceptions import DivisibilityError, _at_least
 # Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
 from .search import ExtremeRecord, SearchSpace, Site, extremes
 
@@ -65,8 +65,7 @@ def f_sequence(n_max: int) -> list[Fraction]:
     recurrence right-hand side divided by -5(n+3)(n-2), which never
     vanishes for n >= 11.
     """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    _at_least("n_max", n_max, 2)
     from fractions import Fraction
     values: dict[int, Fraction] = {}
     for n in range(2, n_max + 1):
@@ -79,8 +78,7 @@ def f_sequence(n_max: int) -> list[Fraction]:
 
 def f_value(n: int) -> Fraction:
     """f(n) for a single n >= 2."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return f_sequence(n)[n - 2]
 
 
@@ -89,8 +87,7 @@ def recurrence_residual(values: Sequence[Fraction], n: int) -> Fraction:
 
     ``values[i]`` must hold f(i+2).  Only meaningful for n >= 11.
     """
-    if n < 11:
-        raise DomainError(f"the recurrence applies for n >= 11, got {n}")
+    _at_least("n", n, 11)
 
     def f(i: int) -> Fraction:
         return values[i - 2]
@@ -101,8 +98,7 @@ def recurrence_residual(values: Sequence[Fraction], n: int) -> Fraction:
 def _conjecture_block(n: int) -> tuple[int, int]:
     """Return (part, block index k): n = 4k-1, 4k, 4k+1 -> part 1,
     n = 4k+2 -> part 2."""
-    if n < 4:
-        raise DomainError(f"the conjecture covers n >= 4, got {n}")
+    _at_least("n", n, 4)
     return (2 if n % 4 == 2 else 1, (n + 1) // 4)
 
 
@@ -123,8 +119,7 @@ def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
     two for d = 2k+3.  Raises DivisibilityError naming every missing
     divisor when m is not a multiple of what the sites require.
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+    _at_least("modulus", m, 1)
     part, k = _conjecture_block(n)
     d1 = 2 * k + 1
     if part == 1:
@@ -180,10 +175,8 @@ def known_bounds(n: int, m: int) -> tuple[Bound, Bound]:
     side is +/- 2^(n-2)*floor(m/2) and the other side is the conjectured
     m*f(n), available only when the required divisor divides m.
     """
-    if n < 1:
-        raise DomainError(f"arity must be >= 1, got {n}")
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+    _at_least("arity", n, 1)
+    _at_least("modulus", m, 1)
     if n == 1:
         return Bound(0, "proven", "0"), Bound(m - 1, "proven", "m-1")
     if n == 2:

@@ -15,7 +15,8 @@ prefix bound K >= 0.  Three evaluation routes are provided:
 * ``eval_closed_all_k`` -- every K in [0, m-1] by inner-term rotation, O(n*m).
 
 All arithmetic is exact.  ``Instance`` is the one check of a triple, which
-every evaluator takes or builds; it also rejects, up front, a triple whose
+every evaluator takes or builds: it refuses a field that is not a plain int,
+one below its floor (``exceptions._at_least``) and, up front, a triple whose
 worst-case intermediates would not fit in a signed 64-bit word.
 
 ``_Record`` is the base of every record type in the package: an immutable
@@ -27,17 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import accumulate
 
-from .exceptions import DomainError, InstanceTooLargeError
+from .exceptions import DomainError, InstanceTooLargeError, _at_least, _shown
 
 _I64_MAX = 2**63 - 1
-
-
-def _shown(value: int) -> str:
-    # Past 256 bits, the bit length: decimal text of a huge int is slow, and
-    # refused past 4300 digits.
-    if -(1 << 256) < value < 1 << 256:
-        return str(value)
-    return f"{'-' if value < 0 else ''}({value.bit_length()} bits)"
 
 
 def _check_width(m: int, n: int, total: int, k: int) -> None:
@@ -122,17 +115,15 @@ class Instance(_Record):
     __slots__ = ("m", "a", "k")
 
     def __init__(self, m: int, a: Sequence[int], k: int):
-        values = sorted(a, reverse=True)
+        values = [*a]
         if not _plain_ints((m, k, *values)):
             raise DomainError("m, k and every element of the multiset must be ints")
-        if m < 1:
-            raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
+        values.sort(reverse=True)
+        _at_least("modulus", m, 1)
         if not values:
             raise DomainError("the multiset must contain at least one element")
-        if values[-1] < 0:
-            raise DomainError(f"multiset elements must be >= 0, got {_shown(values[-1])}")
-        if k < 0:
-            raise DomainError(f"prefix bound must be >= 0, got {_shown(k)}")
+        _at_least("multiset elements", values[-1], 0)
+        _at_least("prefix bound", k, 0)
         _check_width(m, len(values), sum(values), k)
         super().__init__(m, tuple(values), k)
 

@@ -50,8 +50,8 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations_with_replacement, islice
 from operator import sub
 
-from .core import _check_width, _plain_ints, _Record, _shown, eval_closed_all_k
-from .exceptions import DomainError
+from .core import _check_width, _plain_ints, _Record, eval_closed_all_k
+from .exceptions import DomainError, _at_least, _shown
 
 Site = tuple[tuple[int, ...], int]
 
@@ -74,12 +74,9 @@ class SearchSpace(_Record):
         k_range = k_range if k_range is not None else (0, m - 1)
         if len(k_range) != 2 or not _plain_ints((n, m, cap, *k_range)):
             raise DomainError("n, m, cap and both ends of k_range must be ints")
-        if n < 1:
-            raise DomainError(f"arity must be >= 1, got {_shown(n)}")
-        if m < 1:
-            raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
-        if cap < 1:
-            raise DomainError(f"site cap must be >= 1, got {_shown(cap)}")
+        _at_least("arity", n, 1)
+        _at_least("modulus", m, 1)
+        _at_least("site cap", cap, 1)
         lo, hi = k_range
         if not 0 <= lo <= hi <= m - 1:
             raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {_shown(m - 1)}, "
@@ -142,10 +139,8 @@ def enumerate_multisets(n: int, m: int) -> Iterator[tuple[int, ...]]:
     Order is deterministic: (m-1, ..., m-1) first, (0, ..., 0) last.
     The number of tuples is C(m+n-1, n).
     """
-    if n < 1:
-        raise DomainError(f"arity must be >= 1, got {n}")
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+    _at_least("arity", n, 1)
+    _at_least("modulus", m, 1)
     return combinations_with_replacement(range(m - 1, -1, -1), n)
 
 
@@ -233,8 +228,7 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     began, the tasks left go to a pool capped at their number and at the
     usable CPUs, if that leaves it two workers or more.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    _at_least("workers", workers, 1)
     start = time.perf_counter()
     n, m = space.n, space.m
     k_lo, k_hi = space.k_range

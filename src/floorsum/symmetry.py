@@ -43,7 +43,7 @@ decomposes into three such deltas.
 from __future__ import annotations
 
 from .core import Instance, _Record, eval_closed
-from .exceptions import DomainError, TableViolationError
+from .exceptions import DomainError, TableViolationError, _at_least, _shown
 
 #: Proven difference value for each case id (wrap, tail) ->
 #: (F,F)->1: 0, (F,T)->2: -1, (T,F)->3: +1, (T,T)->4: 0.
@@ -114,12 +114,12 @@ def mirror(inst: Instance) -> Instance:
 
 
 def _check_delta_domain(m: int, pair: tuple[int, ...], k: int) -> None:
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+    _at_least("modulus", m, 1)
     if any(not 0 <= v <= m - 1 for v in pair):
-        raise DomainError(f"elements must be in [0, {m - 1}], got {pair}")
+        raise DomainError(f"elements must be in [0, {_shown(m - 1)}], "
+                          f"got ({', '.join(map(_shown, pair))})")
     if not 1 <= k <= m // 2 - 1:
-        raise DomainError(f"k must be in [1, {m // 2 - 1}], got {k}")
+        raise DomainError(f"k must be in [1, {_shown(m // 2 - 1)}], got {_shown(k)}")
 
 
 def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
@@ -171,8 +171,7 @@ def case_b_conditions(m: int, a1: int, a2: int, a3: int, k: int) -> CaseBConditi
     Intended for sorted a1 >= a2 >= a3 on floor(m/3) <= K <= floor(m/2)-1,
     but evaluates the predicates verbatim for any inputs.
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+    _at_least("modulus", m, 1)
     s23 = (a2 + a3) % m
     return CaseBConditions(
         c1a=a1 + s23 >= m,

@@ -12,9 +12,14 @@ import pytest
 from floorsum import (
     DivisibilityError,
     DomainError,
+    FloorSumError,
     Instance,
     ResultCache,
     SearchSpace,
+    box,
+    case_b_conditions,
+    delta,
+    eval_closed_all_k,
     eval_direct,
     extremes,
     f_sequence,
@@ -22,9 +27,11 @@ from floorsum import (
     known_bounds,
     predicted_extremes,
     recurrence_residual,
+    sequence_table,
     verify_bounds,
     verify_conjecture,
 )
+from floorsum.search import enumerate_multisets
 from helpers import n4_five_sum
 
 INITIAL = [0, Fraction(1, 3), -1, 2, -3, 8, -18, 36, -65]
@@ -270,6 +277,42 @@ def test_verify_conjecture_part_two_requires_containment_only():
 def test_verify_conjecture_divisibility_error_propagates():
     with pytest.raises(DivisibilityError):
         verify_conjecture(5, 5)
+
+
+# --------------------------------------------------------- argument floors
+
+H = 10**5000  # str() refuses it with a plain ValueError
+
+
+# Each call is written once, as its test id.
+@pytest.mark.parametrize("call, error", [
+    *((call, FloorSumError) for call in [
+        "known_bounds(5, -H)", "known_bounds(-H, 5)",
+        "predicted_extremes(4, -H)", "predicted_extremes(4, H + 1)",
+        "f_sequence(-H)", "f_value(-H)", "recurrence_residual([], -H)",
+        "verify_conjecture(-H, 5)", "verify_conjecture(4, H + 1)",
+        "sequence_table(3, -H)", "enumerate_multisets(-H, 3)",
+        "extremes(SearchSpace(2, 3), workers=-H)",
+        "delta(-H, 1, 1, 1)", "delta(9, H + 1, 1, 1)", "delta(9, 1, 1, -H)",
+        "box(9, 1, H + 1, 1, 1)", "case_b_conditions(-H, 1, 1, 1, 1)",
+    ]),
+    *((call, DomainError) for call in [
+        "known_bounds(True, 6)", "known_bounds(5.5, 6)", "extremes(SearchSpace(2, 3), workers=1.5)",
+        "f_sequence(10.5)", "sequence_table(3, 2.0)", "predicted_extremes(4.0, 6)",
+        "eval_closed_all_k(5, (1, 'x'))", "delta(9, 1, 1, 1e100)", "box(9, 1, 1e100, 1, 1)",
+    ]),
+])
+def test_every_floor_refuses_a_huge_or_non_int_argument_cleanly(call, error):
+    with pytest.raises(error) as caught:
+        eval(call)
+    assert len(str(caught.value)) < 100
+
+
+def test_known_bounds_past_the_decimal_digit_limit_leave_the_conjecture_unavailable():
+    lower, upper = known_bounds(5, H + 1)
+    assert lower.value == -8 * ((H + 1) // 2)
+    assert upper.value is None
+    assert upper.note == "not sharp / unavailable: m=(16610 bits) must be a multiple of 3"
 
 
 # ----------------------------------------------------------- n=4 identity

@@ -94,6 +94,7 @@ def test_instance_rejects_bad_arguments(m, a, k):
 @pytest.mark.parametrize("m, a, k", [
     (5.0, (2,), 1), (5, (2.0,), 1), (5, (3, 2.5), 1), (5, (2,), 1.0),
     (True, (0,), 0), (5, (True,), 1), (5, (3, False), 1), (5, (2,), True),
+    (5, (1, "x"), 1), (5, (1, None), 1),
 ])
 def test_instance_refuses_a_field_that_is_not_a_plain_int(m, a, k):
     with pytest.raises(DomainError, match="must be ints"):
