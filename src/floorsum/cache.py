@@ -114,8 +114,9 @@ def sequence_table(n: int, m_max: int, workers: int = 1,
                    cache: ResultCache | None = None) -> tuple[list[int], list[int]]:
     """(max S_m)_{m=1..m_max} and (min S_m)_{m=1..m_max}, each m via ``cached_extremes``."""
     _at_least("m_max", m_max, 1)
-    for m in range(1, m_max + 1):  # refuse an oversize space before any search writes the cache
-        SearchSpace(n, m)
+    # Refuse an oversize table before any search writes the cache.  The widest cell's
+    # term (floor(n(m-1)/m)+1)*m + (m-1) + n(m-1) is nondecreasing in m, so m_max decides.
+    SearchSpace(n, m_max)
     maxima, minima = [], []
     for m in range(1, m_max + 1):
         record = cached_extremes(SearchSpace(n, m), workers=workers, cache=cache)

@@ -250,7 +250,10 @@ def _scan_one_m(m: int) -> dict:
 
 
 def _run_delta_scan(config: RunConfig) -> tuple[int, str]:
-    ms = [config.m] if config.m is not None else list(range(1, config.m_max + 1))
+    top = config.m_max
+    ms = (config.m,) if top is None else range(1, top + 1)
+    if top is not None:  # refuse an oversize top by its widest pair before any scan below it
+        Instance(top, (top - 1, top - 1), top - 1)
     scans = [_scan_one_m(m) for m in ms]
     rows = [[s[c] for c in _SCAN_HEADER] for s in scans]
     lines = ["difference-table scan (every value matched its case)", " ".join(_SCAN_HEADER)]

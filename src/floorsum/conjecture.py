@@ -8,8 +8,9 @@ f(n) is an exact rational sequence: nine fixed initial values
     f(7)=8, f(8)=-18, f(9)=36, f(10)=-65
 
 followed by a ninth-order linear recurrence with quadratic polynomial
-coefficients.  The attaining sites are constant multisets c*m/d with
-K = c*m/d - 1, available only when d divides m.
+coefficients.  The attaining sites are constant multisets v^n at K = v - 1
+with v = (m -/+ m/d)/2 for each divisor d the arity requires, available
+only when d divides m; as d is odd, v = c*m/d with c = (d -/+ 1)/2.
 
 Refined conjecture (this repository's empirical claim, not the paper's;
 unproven, and checked exhaustively for n = 4..10, m = 2..16 by the
@@ -114,29 +115,20 @@ class PredictedSite(_Record):
 def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
     """The conjectured extremal sites for (n, m).
 
-    For n = 4k-1, 4k, 4k+1: two sites with divisor d = 2k+1 and
-    numerators k, k+1.  For n = 4k+2: four sites, two for d = 2k+1 and
-    two for d = 2k+3.  Raises DivisibilityError naming every missing
-    divisor when m is not a multiple of what the sites require.
+    For each required divisor d, 2k+1 for n = 4k-1, 4k, 4k+1 and also
+    2k+3 for n = 4k+2, the sites v^n at K = v - 1 with v = (m - m/d)/2
+    and v = (m + m/d)/2.  As d is odd, these are c*m/d with c = (d-1)/2
+    and (d+1)/2.  Raises DivisibilityError naming every missing divisor
+    when m is not a multiple of what the sites require.
     """
     _at_least("modulus", m, 1)
     part, k = _conjecture_block(n)
-    d1 = 2 * k + 1
-    if part == 1:
-        required = (d1,)
-        numerators = ((k, d1), (k + 1, d1))
-    else:
-        d2 = 2 * k + 3
-        required = (d1, d2)
-        numerators = ((k, d1), (k + 1, d1), (k + 1, d2), (k + 2, d2))
+    required = (2 * k + 1, 2 * k + 3)[:part]
     missing = tuple(d for d in required if m % d)
     if missing:
         raise DivisibilityError(m, missing)
-    sites = []
-    for c, d in numerators:
-        v = c * m // d
-        sites.append(PredictedSite(a=(v,) * n, k=v - 1, divisor=d))
-    return sites
+    return [PredictedSite((v,) * n, v - 1, d)
+            for d in required for v in ((m - m // d) // 2, (m + m // d) // 2)]
 
 
 class Bound(_Record):
@@ -285,11 +277,11 @@ class ConjectureReport(_Record):
 
     @property
     def search_value(self) -> int:
-        return self.record.max_value if self.side == "max" else self.record.min_value
+        return getattr(self.record, f"{self.side}_value")
 
     @property
     def attaining_count(self) -> int:
-        return self.record.max_count if self.side == "max" else self.record.min_count
+        return getattr(self.record, f"{self.side}_count")
 
     @property
     def value_matches(self) -> bool:
@@ -317,15 +309,11 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
     sites = predicted_extremes(n, m)
     part, block = _conjecture_block(n)
     record = cached_extremes(SearchSpace(n, m), workers, cache)
-    if n % 2:
-        side, search_value, count = "max", record.max_value, record.max_count
-    else:
-        side, search_value, count = "min", record.min_value, record.min_count
+    side = "max" if n % 2 else "min"
+    search_value, count = getattr(record, f"{side}_value"), getattr(record, f"{side}_count")
     checks = []
     for site in sites:
         value = eval_closed(Instance(m, site.a, site.k))
         checks.append(SiteCheck(site, value, value == search_value))
-    sites_exact = None
-    if part == 1:
-        sites_exact = count == len(sites) and all(c.attains for c in checks)
+    sites_exact = (count == len(sites) and all(c.attains for c in checks)) if part == 1 else None
     return ConjectureReport(record, part, block, side, m * f_value(n), tuple(checks), sites_exact)

@@ -84,7 +84,9 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        # an int field prints through _shown, as repr refuses one past 4300 digits
+        fields = ", ".join(f"{name}={_shown(v) if type(v) is int else repr(v)}"
+                           for name, v in zip(self.__slots__, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:

@@ -155,6 +155,20 @@ def test_oversize_space_exits_before_its_cache_file_is_created(tmp_path):
         assert not path.exists(), argv
 
 
+def test_a_table_or_scan_past_the_decimal_digit_limit_exits_2_at_once(tmp_path):
+    # the widest modulus alone is checked, before any search or scan, and
+    # before the cache file is created
+    huge = str(10**4000)
+    path = tmp_path / "t.jsonl"
+    for argv in (["table", "--n", "1", "--m-max", huge, "--cache", str(path)],
+                 ["delta-scan", "--m-max", huge]):
+        result = invoke(argv)
+        assert result.exit_code == 2 and result.stdout == "", argv[0]
+        assert "worst-case intermediate (" in result.stderr, argv[0]
+        assert len(result.stderr.encode()) < 300, argv[0]
+    assert not path.exists()
+
+
 def test_an_arity_past_the_decimal_digit_limit_exits_2(tmp_path):
     # the worst case of n = 20000 has about 20000 bits, over 6000 decimal digits,
     # more than Python converts to text, so the message gives its bit length
@@ -686,6 +700,16 @@ def test_cache_truncated_file_recomputes(tmp_path):
     with warnings.catch_warnings():  # the discarded line is warned once, on the first get
         warnings.simplefilter("error")
         assert cached_extremes(space, cache=cache) == extremes(space)
+
+
+def test_cache_skips_blank_lines_without_a_warning(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    space = SearchSpace(2, 6)
+    ResultCache(path).put(space, extremes(space))
+    path.write_text("\n  \n" + path.read_text() + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ResultCache(path).get(space) == extremes(space)
 
 
 def test_cached_extremes_serves_stored_records(tmp_path):

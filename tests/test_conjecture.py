@@ -167,6 +167,20 @@ def test_predicted_sites_divisors_per_block():
         assert divisors == expected, n
 
 
+def test_predicted_sites_equal_the_explicit_table_of_numerators():
+    # the sites (c*m/d)^n at K = c*m/d - 1: c = k, k+1 over d = 2k+1, and for
+    # n = 4k+2 also c = k+1, k+2 over d = 2k+3
+    for n in range(4, 81):
+        k = (n + 1) // 4
+        numerators = [(k, 2 * k + 1), (k + 1, 2 * k + 1)]
+        if n == 4 * k + 2:
+            numerators += [(k + 1, 2 * k + 3), (k + 2, 2 * k + 3)]
+        base = (2 * k + 1) * (2 * k + 3 if n == 4 * k + 2 else 1)
+        for m in (base, 2 * base, 7 * base):
+            expected = [((c * m // d,) * n, c * m // d - 1, d) for c, d in numerators]
+            assert [(s.a, s.k, s.divisor) for s in predicted_extremes(n, m)] == expected, (n, m)
+
+
 def test_predicted_sites_divisibility_errors():
     with pytest.raises(DivisibilityError, match="multiple of 3"):
         predicted_extremes(5, 5)

@@ -18,6 +18,7 @@ from floorsum import (
     case_b_conditions,
     delta,
     extremes,
+    known_bounds,
     predicted_extremes,
     verify_bounds,
     verify_conjecture,
@@ -97,6 +98,15 @@ def test_a_record_equals_and_hashes_as_an_equal_record_of_its_own_type_only(name
 def test_a_record_prints_as_it_did_as_a_dataclass(name):
     build, text = RECORDS[name]
     assert repr(build()) == text
+
+
+def test_an_int_field_past_the_decimal_digit_limit_prints_as_its_bit_length():
+    # repr of such an int raises ValueError; the record prints it as _shown does
+    assert repr(known_bounds(5, 10**5000 + 1)) == (
+        "(Bound(value=-(16612 bits), status='proven', formula='-2^(n-2)*floor(m/2)', "
+        "note='proof stated under the hypothesis that m is even'), Bound(value=None, "
+        "status='conjectured', formula='m*f(n)', note='not sharp / unavailable: "
+        "m=(16610 bits) must be a multiple of 3'))")
 
 
 @pytest.mark.parametrize("name", NAMES)

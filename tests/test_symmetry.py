@@ -13,10 +13,12 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings
 
+import floorsum.symmetry
 from floorsum import (
     CASE_VALUES,
     DomainError,
     Instance,
+    TableViolationError,
     box,
     case_b_conditions,
     delta,
@@ -152,6 +154,20 @@ def test_box_known_values():
     rec = box(7, 3, 2, 1, 1)  # direct/decomposition agreement is checked inside
     oracle = eval_direct(Instance(7, (3, 2, 1), 1)) - eval_direct(Instance(7, (4, 2, 1), 0))
     assert rec.value == oracle
+
+
+def test_box_raises_when_its_deltas_disagree_with_the_direct_difference(monkeypatch):
+    true_delta = floorsum.symmetry.delta
+
+    def off_by_one(m, a1, a2, k):
+        record = true_delta(m, a1, a2, k)
+        return record.replace(value=record.value + 1)
+
+    monkeypatch.setattr(floorsum.symmetry, "delta", off_by_one)
+    # each of the three deltas gains 1, so the decomposition 0 - 1 - 1 loses 1
+    with pytest.raises(TableViolationError) as caught:
+        box(6, 5, 2, 2, 2)
+    assert str(caught.value) == "box(6, 5, 2, 2, 2): direct -2 != decomposition -3"
 
 
 def test_box_decomposition_exhaustive():
