@@ -17,9 +17,9 @@ query does not pay for a parser library.
 
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
-unusable cache path or instances too large for checked 64-bit
-arithmetic; 3 on a proven-bound violation or case-table mismatch
-(either one signals an implementation bug).
+unusable cache path, instances too large for checked 64-bit arithmetic
+or a query too large for memory; 3 on a proven-bound violation or
+case-table mismatch (either one signals an implementation bug).
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import warnings
 from . import __version__
 from .cache import ResultCache, cached_extremes, sequence_table
 from .conjecture import f_sequence, verify_bounds, verify_conjecture
-from .core import Instance, _Record, eval_closed, eval_closed_all_k
+from .core import Instance, _Record, eval_closed
 from .exceptions import DomainError, FloorSumError, TableViolationError, _at_least, _shown
 from .search import DEFAULT_CAP, SearchSpace
-from .symmetry import CASE_VALUES, delta
+# ``delta`` is unused here, but perfbench/tracing.py wraps ``cli.delta``, so it stays bound.
+from .symmetry import _case_counts, delta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -215,47 +216,10 @@ def _run_f_seq(config: RunConfig) -> tuple[int, str]:
 _SCAN_HEADER = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"]
 
 
-def _scan_one_m(m: int) -> dict:
-    """Case counts of every ``delta(m, a1, a2, k)`` cell, from all-K sweeps.
-
-    One ``eval_closed_all_k`` sweep per pair gives S({a1, a2}, K) at every
-    K, and S({a1+1, a2}, K-1) is read from the sweep of ((a1+1) mod m, a2):
-    for n >= 2 only residues matter (see ``symmetry``), so a1 = m-1 reads
-    the all-zero sweep of a1 = 0; only rows a1, a1+1 and 0 are held.  Each
-    cell is classified as ``delta`` classifies it and checked against
-    ``CASE_VALUES``.  On a mismatch the cell is recomputed by ``delta``,
-    which raises its own ``TableViolationError``; if it does not, the two
-    routes disagree, and that is raised naming both values.
-    """
-    counts = [0] * 5  # by case id; index 0 unused
-    sorted_case2 = 0
-    first = this_row = [eval_closed_all_k(m, (0, a2)) for a2 in range(m)]
-    for a1 in range(m):
-        next_row = first if a1 == m - 1 else [eval_closed_all_k(m, (a1 + 1, a2)) for a2 in range(m)]
-        for a2 in range(m):
-            here, shifted = this_row[a2], next_row[a2]
-            cond_sum = a1 + a2 >= m
-            for k in range(1, m // 2):
-                case_id = 1 + (a2 + k - m + 1 > 0) + 2 * cond_sum
-                value = here[k] - shifted[k - 1]
-                if value != CASE_VALUES[case_id]:
-                    record = delta(m, a1, a2, k)
-                    raise TableViolationError(
-                        f"delta({m}, {a1}, {a2}, {k}): all-K sweeps give {value}, "
-                        f"delta gives {record.value}")
-                counts[case_id] += 1
-                sorted_case2 += a1 >= a2 and case_id == 2
-        this_row = next_row
-    return dict(zip(_SCAN_HEADER, [m, sum(counts), *counts[1:], sorted_case2]))
-
-
 def _run_delta_scan(config: RunConfig) -> tuple[int, str]:
-    top = config.m_max
-    ms = (config.m,) if top is None else range(1, top + 1)
-    if top is not None:  # refuse an oversize top by its widest pair before any scan below it
-        Instance(top, (top - 1, top - 1), top - 1)
-    scans = [_scan_one_m(m) for m in ms]
-    rows = [[s[c] for c in _SCAN_HEADER] for s in scans]
+    lo, hi = (config.m, config.m) if config.m_max is None else (1, config.m_max)
+    rows = _case_counts(range(lo, hi + 1))
+    scans = [dict(zip(_SCAN_HEADER, row)) for row in rows]
     lines = ["difference-table scan (every value matched its case)", " ".join(_SCAN_HEADER)]
     lines += [" ".join(str(v) for v in row) for row in rows]
     return _output(config, {"scans": scans}, _SCAN_HEADER, rows, lines)
@@ -537,6 +501,9 @@ def _finish(config: RunConfig) -> int:
         if exc.filename is None:  # the cache is the only file a command touches
             raise
         sys.stderr.write(f"Error: cannot use cache file {config.cache_path}: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:  # e.g. one all-K sweep of a modulus past the memory
+        sys.stderr.write("Error: not enough memory for this query\n")
         return EXIT_USAGE
     sys.stdout.write(text)
     return code

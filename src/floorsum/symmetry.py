@@ -36,13 +36,17 @@ The two-variable difference
 
 always lies in {-1, 0, +1} on 1 <= K <= floor(m/2)-1 and is classified
 into four cases by whether a1+a2 wraps past m and whether the a2 tail
-term max(0, a2+K-m+1) is active.  The three-variable difference
-decomposes into three such deltas.
+term max(0, a2+K-m+1) is active.  ``_case`` is that rule, the one place
+it is written: ``delta``, ``case_b_conditions`` and the table scan
+``_case_counts`` (behind the ``delta-scan`` command) all classify through
+it.  The three-variable difference decomposes into three such deltas.
 """
 
 from __future__ import annotations
 
-from .core import Instance, _Record, eval_closed
+from itertools import pairwise
+
+from .core import Instance, _Record, eval_closed, eval_closed_all_k
 from .exceptions import DomainError, TableViolationError, _at_least, _shown
 
 #: Proven difference value for each case id (wrap, tail) ->
@@ -122,6 +126,12 @@ def _check_delta_domain(m: int, pair: tuple[int, ...], k: int) -> None:
         raise DomainError(f"k must be in [1, {_shown(m // 2 - 1)}], got {_shown(k)}")
 
 
+def _case(m: int, a: int, b: int, k: int) -> tuple[bool, bool, int]:
+    """(wraps, tail, case id) of the pair (a, b) at K: the one case rule."""
+    wraps, tail = a + b >= m, b + k - m + 1 > 0
+    return wraps, tail, 1 + tail + 2 * wraps
+
+
 def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     """Two-variable difference S({a1,a2},K) - S({a1+1,a2},K-1), classified.
 
@@ -131,9 +141,7 @@ def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     """
     _check_delta_domain(m, (a1, a2), k)
     value = eval_closed(Instance(m, (a1, a2), k)) - eval_closed(Instance(m, (a1 + 1, a2), k - 1))
-    cond_sum = a1 + a2 >= m
-    cond_tail = a2 + k - m + 1 > 0
-    case_id = 1 + cond_tail + 2 * cond_sum
+    cond_sum, cond_tail, case_id = _case(m, a1, a2, k)
     if value != CASE_VALUES[case_id]:
         raise TableViolationError(
             f"delta({m}, {a1}, {a2}, {k}) = {value} but case {case_id} "
@@ -172,12 +180,37 @@ def case_b_conditions(m: int, a1: int, a2: int, a3: int, k: int) -> CaseBConditi
     but evaluates the predicates verbatim for any inputs.
     """
     _at_least("modulus", m, 1)
-    s23 = (a2 + a3) % m
-    return CaseBConditions(
-        c1a=a1 + s23 >= m,
-        c1b=s23 + k - m + 1 <= 0,
-        c2a=a1 + a2 >= m,
-        c2b=a2 + k - m + 1 <= 0,
-        c3a=a1 + a3 >= m,
-        c3b=a3 + k - m + 1 <= 0,
-    )
+    pairs = (_case(m, a1, b, k) for b in ((a2 + a3) % m, a2, a3))
+    return CaseBConditions(*(v for wraps, tail, _ in pairs for v in (wraps, not tail)))
+
+
+def _case_counts(ms: range) -> list[list[int]]:
+    """[m, cells, case 1..4 counts, sorted case 2] for each m in ``ms``, over every
+    ``delta(m, a1, a2, k)`` cell, once the widest pair of the last m is refused.
+
+    One ``eval_closed_all_k`` sweep per pair gives S({a1, a2}, K) at every K, and
+    S({a1+1, a2}, K-1) is read from the sweep of ((a1+1) mod m, a2), as only
+    residues matter for n >= 2: only rows a1 and a1+1 are held.  A cell off its
+    ``CASE_VALUES`` entry is recomputed by ``delta``, which raises its own error;
+    if it does not, the two routes disagree, and that is raised naming both values.
+    """
+    top = ms[-1]
+    Instance(top, (top - 1, top - 1), top - 1)
+    table = []
+    for m in ms:
+        counts = [m] + [0] * 6  # m, cells, cases 1..4, sorted case 2
+        rows = ([eval_closed_all_k(m, (a1 % m, a2)) for a2 in range(m)] for a1 in range(m + 1))
+        for a1, (this_row, next_row) in enumerate(pairwise(rows)):
+            for a2, here, shifted in zip(range(m), this_row, next_row):
+                for k in range(1, m // 2):
+                    case_id = _case(m, a1, a2, k)[2]
+                    value = here[k] - shifted[k - 1]
+                    if value != CASE_VALUES[case_id]:
+                        raise TableViolationError(
+                            f"delta({m}, {a1}, {a2}, {k}): all-K sweeps give {value}, "
+                            f"delta gives {delta(m, a1, a2, k).value}")
+                    counts[1 + case_id] += 1
+                    counts[6] += a1 >= a2 and case_id == 2
+        counts[1] = sum(counts[2:6])
+        table.append(counts)
+    return table

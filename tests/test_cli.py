@@ -25,6 +25,7 @@ from floorsum import (
     sequence_table,
 )
 import floorsum.cli
+import floorsum.symmetry
 from floorsum.cli import RunConfig, run
 from floorsum.core import eval_closed_all_k
 from floorsum.symmetry import CASE_VALUES, delta
@@ -167,6 +168,16 @@ def test_a_table_or_scan_past_the_decimal_digit_limit_exits_2_at_once(tmp_path):
         assert "worst-case intermediate (" in result.stderr, argv[0]
         assert len(result.stderr.encode()) < 300, argv[0]
     assert not path.exists()
+
+
+def test_a_query_refused_its_memory_exits_2_without_a_traceback():
+    # one all-K sweep of m = 10**11 ints is refused by the allocator at once
+    for argv in (["delta-scan", "--m", "100000000000"],
+                 ["search", "--n", "1", "--m", "100000000000"]):
+        result = invoke(argv)
+        assert result.exit_code == 2 and result.stdout == "", argv[0]
+        assert result.stderr == "Error: not enough memory for this query\n", argv[0]
+        assert len(result.stderr.encode()) < 300 and "Traceback" not in result.stderr
 
 
 def test_an_arity_past_the_decimal_digit_limit_exits_2(tmp_path):
@@ -348,7 +359,7 @@ def test_delta_scan_reports_a_sweep_that_disagrees_with_delta(monkeypatch):
         values = eval_closed_all_k(m, a)
         return [v + 1 for v in values] if sorted(a) == [1, 2] else values
 
-    monkeypatch.setattr(floorsum.cli, "eval_closed_all_k", off_by_one)
+    monkeypatch.setattr(floorsum.symmetry, "eval_closed_all_k", off_by_one)
     result = invoke(["delta-scan", "--m", "6"])
     # The first cell to read the pair is (0, 2, 1), as {a1 + 1, a2} = {1, 2} at K - 1.
     true_value = delta(6, 0, 2, 1).value
@@ -361,7 +372,7 @@ def test_delta_scan_holds_rows_of_sweeps_not_all_of_them():
     # Holding all m^2 sweeps of m ints each peaked at 5.13 MB.
     tracemalloc.start()
     try:
-        floorsum.cli._scan_one_m(80)
+        floorsum.symmetry._case_counts(range(80, 81))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ with the witnessing instance in the message.
 """
 
 import random
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +221,23 @@ def test_case_b_conditions_gate_the_plus_one_value():
                         assert config == (value == 1), (m, a1, a2, a3, k)
                         hits += value == 1
     assert hits > 0
+
+
+def test_case_b_conditions_are_the_cases_of_the_box_components():
+    # the six predicates are (wraps, not tail) of the three deltas box
+    # decomposes into, and the +1 configuration is their case ids (3, 1|4, 1|4)
+    cells = 0
+    for m in range(1, 11):
+        for a1, a2, a3 in product(range(m), repeat=3):
+            for k in legal_delta_k(m):
+                report = case_b_conditions(m, a1, a2, a3, k)
+                components = box(m, a1, a2, a3, k).components
+                where = (m, a1, a2, a3, k)
+                assert (report.c1a, report.c1b, report.c2a, report.c2b, report.c3a,
+                        report.c3b) == tuple(v for d in components
+                                             for v in (d.cond_sum, not d.cond_tail)), where
+                first, second, third = (d.case_id for d in components)
+                assert report.plus_one_config == (
+                    first == 3 and second in (1, 4) and third in (1, 4)), where
+                cells += 1
+    assert cells == 9030
