@@ -12,6 +12,8 @@ answered from memory, indexed by each record's space.
 
 from __future__ import annotations
 
+__all__ = ["ResultCache", "CacheWarning", "cached_extremes", "sequence_table"]
+
 import warnings
 
 from .exceptions import DomainError, _at_least
@@ -65,15 +67,14 @@ class ResultCache:
         index = {}  # kept once the whole file is read: a warning raised as an error reloads
         # Append mode, as put uses, so an unusable path fails before a search.
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # surrogateescape keeps text mode's lines; a byte that is not UTF-8 then
-        # fails the strict decode inside the try, as a fault of its own line.
-        with self.path.open("a+", encoding="utf-8", errors="surrogateescape") as handle:
+        with self.path.open("a+b") as handle:  # lines end at b"\n"; a "\r" is JSON whitespace
             handle.seek(0)
             for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
                 try:  # json.loads raises RecursionError on deeply nested brackets
-                    entry = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+                    text = line.decode("utf-8")  # a byte that is not UTF-8 faults its own line
+                    if not text.strip():
+                        continue
+                    entry = json.loads(text)
                     record = ExtremeRecord.from_dict(entry["record"])
                     _check(record, entry["key"])
                 except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:

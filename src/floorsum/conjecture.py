@@ -26,11 +26,17 @@ rational equality, never by tolerance.
 
 from __future__ import annotations
 
+__all__ = [
+    "f_sequence", "f_value", "recurrence_residual", "known_bounds", "Bound", "predicted_extremes",
+    "PredictedSite", "verify_bounds", "BoundsReport", "verify_conjecture", "ConjectureReport",
+    "SiteCheck",
+]
+
 from collections.abc import Callable, Sequence
 
 from .cache import ResultCache, cached_extremes
-from .core import Instance, _Record, eval_closed
-from .exceptions import DivisibilityError, _at_least
+from .core import _I64_MAX, Instance, _Record, eval_closed
+from .exceptions import DivisibilityError, InstanceTooLargeError, _at_least, _shown
 # Unused here, but perfbench/tracing.py wraps ``conjecture.extremes``, so it stays bound.
 from .search import ExtremeRecord, SearchSpace, Site, extremes
 
@@ -64,9 +70,12 @@ def f_sequence(n_max: int) -> list[Fraction]:
 
     Indices 2..10 are the fixed initial values; each later term is the
     recurrence right-hand side divided by -5(n+3)(n-2), which never
-    vanishes for n >= 11.
+    vanishes for n >= 11.  An n_max past 2**63 - 1 raises
+    ``InstanceTooLargeError``: no list of n_max - 1 values fits in memory.
     """
     _at_least("n_max", n_max, 2)
+    if n_max > _I64_MAX:
+        raise InstanceTooLargeError(f"n_max={_shown(n_max)} exceeds 64-bit range")
     from fractions import Fraction
     values: dict[int, Fraction] = {}
     for n in range(2, n_max + 1):
@@ -78,8 +87,10 @@ def f_sequence(n_max: int) -> list[Fraction]:
 
 
 def f_value(n: int) -> Fraction:
-    """f(n) for a single n >= 2."""
+    """f(n) for a single n >= 2; an n past 2**63 - 1 raises ``InstanceTooLargeError``."""
     _at_least("n", n, 2)
+    if n > _I64_MAX:
+        raise InstanceTooLargeError(f"n={_shown(n)} exceeds 64-bit range")
     return f_sequence(n)[n - 2]
 
 

@@ -25,6 +25,8 @@ value whose fields are its ``__slots__``, bound once by the base's ``__init__``.
 
 from __future__ import annotations
 
+__all__ = ["Instance", "eval_direct", "eval_closed", "eval_closed_all_k", "inner_term"]
+
 from collections.abc import Sequence
 from itertools import accumulate
 

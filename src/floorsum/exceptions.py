@@ -1,6 +1,11 @@
 """Exception types, and how an argument is refused: ``_at_least`` is every integer
 floor, and ``_shown`` prints a number in a message, so none prints an unbounded int."""
 
+__all__ = [
+    "FloorSumError", "DomainError", "DivisibilityError", "InstanceTooLargeError",
+    "TableViolationError",
+]
+
 
 class FloorSumError(Exception):
     """Base class for all errors raised by this package."""

@@ -43,6 +43,8 @@ real cells, so every cell that ties or beats an extreme is still visited.
 
 from __future__ import annotations
 
+__all__ = ["SearchSpace", "ExtremeRecord", "extremes"]
+
 import math
 import os
 import time

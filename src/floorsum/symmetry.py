@@ -44,6 +44,11 @@ it.  The three-variable difference decomposes into three such deltas.
 
 from __future__ import annotations
 
+__all__ = [
+    "mirror", "delta", "DeltaRecord", "CASE_VALUES", "box", "BoxRecord", "case_b_conditions",
+    "CaseBConditions",
+]
+
 from itertools import pairwise
 
 from .core import Instance, _Record, eval_closed, eval_closed_all_k

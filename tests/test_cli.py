@@ -305,6 +305,13 @@ def test_f_seq_json():
     assert payload["result"]["f"][9] == "148"
 
 
+def test_f_seq_past_64_bits_exits_2_at_once():
+    result = invoke(["f-seq", "--n-max", str(10**4000)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.endswith("Error: n_max=(13288 bits) exceeds 64-bit range\n")
+    assert len(result.stderr.encode()) < 300
+
+
 def test_f_seq_csv_two_integer_columns():
     result = invoke(["f-seq", "--n-max", "4", "--format", "csv"])
     assert result.output.splitlines() == [
@@ -609,12 +616,15 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
 
 
 def test_cache_discards_a_stored_space_that_search_space_refuses(tmp_path):
-    # each line's key agrees with its record, but SearchSpace refuses the space:
-    # no site may be recorded, an inverted K range, a widest cell past 64 bits
+    # each line's key agrees with its record, but no fresh run builds the record:
+    # SearchSpace refuses the space (no site may be recorded, an inverted K range, a
+    # widest cell past 64 bits), or a site holds JSON true, which loads as a bool
     space = SearchSpace(3, 5)
+    fresh = extremes(space).to_dict()
     for i, fields in enumerate([{"cap": 0}, {"k_range": [4, 1]},
-                               {"n": 70, "m": 3, "k_range": [0, 2]}]):
-        record = {**extremes(space).to_dict(), **fields}
+                               {"n": 70, "m": 3, "k_range": [0, 2]},
+                               {"max_sites": [*fresh["max_sites"][:-1], [[1, 1, True], 2]]}]):
+        record = {**fresh, **fields}
         key = {"n": record["n"], "m": record["m"], "k_lo": record["k_range"][0],
                "k_hi": record["k_range"][1], "cap": record["cap"]}
         path = tmp_path / f"cache{i}.jsonl"
@@ -717,7 +727,8 @@ def test_cache_skips_blank_lines_without_a_warning(tmp_path):
     path = tmp_path / "cache.jsonl"
     space = SearchSpace(2, 6)
     ResultCache(path).put(space, extremes(space))
-    path.write_text("\n  \n" + path.read_text() + "\n")
+    # "\r" before each "\n" is JSON whitespace, so a CRLF file reads the same
+    path.write_bytes(b"\r\n  \r\n" + path.read_bytes().replace(b"\n", b"\r\n") + b"\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ResultCache(path).get(space) == extremes(space)

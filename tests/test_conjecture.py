@@ -14,6 +14,7 @@ from floorsum import (
     DomainError,
     FloorSumError,
     Instance,
+    InstanceTooLargeError,
     ResultCache,
     SearchSpace,
     box,
@@ -92,6 +93,17 @@ def test_consistency_with_divisor_style_coefficients():
 def test_f_sequence_rejects_small_n():
     with pytest.raises(DomainError):
         f_sequence(1)
+
+
+def test_f_sequence_refuses_an_n_max_past_64_bits_at_once():
+    # no list of n_max - 1 values is that long, so the request fails before any term
+    for n_max, shown in ((2**63, str(2**63)), (10**4000, "(13288 bits)")):
+        with pytest.raises(InstanceTooLargeError) as caught:
+            f_sequence(n_max)
+        assert str(caught.value) == f"n_max={shown} exceeds 64-bit range"
+        with pytest.raises(InstanceTooLargeError) as caught:
+            f_value(n_max)
+        assert str(caught.value) == f"n={shown} exceeds 64-bit range"  # in its own terms
 
 
 def test_f_value_rejects_small_n_in_its_own_terms():

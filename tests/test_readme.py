@@ -1,6 +1,9 @@
-"""README contract: its library quick start runs, and its Public API list is ``__all__``."""
+"""README contract: its library quick start runs, and each Public API bullet is that
+module's ``__all__``, which ``floorsum.__all__`` joins in the same order."""
 
+import importlib
 import re
+from itertools import chain
 from pathlib import Path
 
 import floorsum
@@ -20,10 +23,14 @@ def test_library_quick_start_runs():
 
 
 def test_public_api_list_matches_all():
-    listed = []
+    bullets = {}
     for line in _section("Public API").splitlines():
         if line.startswith("- `"):
-            _, names = line.split(": ", 1)
-            listed += re.findall(r"`([^`]+)`", names)
-    assert len(listed) == len(set(listed))
-    assert set(listed) == set(floorsum.__all__)
+            module, names = line.split(": ", 1)
+            bullets[module.strip("- `")] = re.findall(r"`([^`]+)`", names)
+    assert bullets.pop("floorsum") == ["__version__"]
+    for module, names in bullets.items():
+        assert names == importlib.import_module(f"floorsum.{module}").__all__, module
+    assert floorsum.__all__ == ["__version__", *chain.from_iterable(bullets.values())]
+    # a name in two modules' lists would be bound twice by the star imports, last one wins
+    assert len(floorsum.__all__) == len(set(floorsum.__all__))

@@ -418,6 +418,11 @@ def test_record_dict_roundtrip():
     ({"max_value": 2.0}, DomainError),
     ({"n": True}, DomainError),
     ({"min_count": True}, DomainError),
+    # within a site list: a bool element, a float K, a third entry, an int for A
+    ({"max_sites": [[[True, 4, 4], 3], [[2, 2, 2], 1]]}, DomainError),
+    ({"min_sites": [[[3, 3, 3], 2.0]]}, DomainError),
+    ({"max_sites": [[[4, 4, 4], 3, 0], [[2, 2, 2], 1]]}, ValueError),
+    ({"min_sites": [[3, 2]]}, TypeError),
 ])
 def test_record_from_dict_refuses_what_a_fresh_run_never_builds(fields, error):
     data = extremes(SearchSpace(3, 6)).to_dict()
