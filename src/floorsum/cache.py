@@ -25,13 +25,8 @@ class CacheWarning(UserWarning):
 
 
 def _key(space: SearchSpace) -> dict:
-    return {
-        "n": space.n,
-        "m": space.m,
-        "k_lo": space.k_range[0],
-        "k_hi": space.k_range[1],
-        "cap": space.cap,
-    }
+    k_lo, k_hi = space.k_range
+    return {"n": space.n, "m": space.m, "k_lo": k_lo, "k_hi": k_hi, "cap": space.cap}
 
 
 def _check(record: ExtremeRecord, key: dict) -> None:

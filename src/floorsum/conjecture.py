@@ -17,7 +17,14 @@ unproven, and checked exhaustively for n = 4..10, m = 2..16 by the
 acceptance suite): with k = floor((n+1)/4), the conjectured-side extreme
 never passes m*f(n) at any m.  It equals m*f(n) exactly when (2k+1) | m
 for n = 4k-1, 4k, 4k+1, and exactly when m lies in the numerical
-semigroup <2k+1, 2k+3> for n = 4k+2.
+semigroup <2k+1, 2k+3> for n = 4k+2.  Checked for n = 4..120 by the test
+suite, not proven: d*f(n) is S_d at the predicted site c^n, K = c - 1, for
+d = 2k+1, c in {k, k+1} and, when n = 4k+2, d = 2k+3, c in {k+1, k+2}:
+
+    d*f(n) = sum_{t=0}^{c-1} sum_{j=0}^{n} (-1)^(n-j) C(n,j) floor((t + j*c)/d)
+
+As S_{i*d}((i*c)^n, i*c - 1) = i*S_d(c^n, c - 1) (split t = i*t' + r, 0 <= r < i),
+each predicted site then attains m*f(n) at every multiple m of its d.
 
 Everything here is exact: f(n) is kept as a Fraction end to end, and
 verification compares search results with predictions by integer or
@@ -32,7 +39,7 @@ __all__ = [
     "SiteCheck",
 ]
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .cache import ResultCache, cached_extremes
 from .core import _I64_MAX, Instance, _Record, eval_closed
@@ -51,17 +58,18 @@ VERDICT_VIOLATED = "VIOLATED"
 VERDICT_UNAVAILABLE = "unavailable"
 
 
-def _recurrence_rhs(n: int, f: Callable[[int], Fraction]) -> Fraction:
+def _recurrence_rhs(n: int, values: Sequence[Fraction]) -> Fraction:
+    # values[i - 2] holds f(i), so f(n - j) is values[n - j - 2]
     return (
-        10 * (n * n + n - 8) * f(n - 1)
-        - 4 * (2 * n * n - 10 * n + 3) * f(n - 2)
-        - 24 * (2 * n - 11) * f(n - 3)
-        - 32 * (2 * n * n - 10 * n - 1) * f(n - 4)
-        - 192 * (n - 1) * (n - 5) * f(n - 5)
-        + 64 * (2 * n * n - 22 * n + 51) * f(n - 6)
-        + 384 * (2 * n - 13) * f(n - 7)
-        - 256 * (n - 3) * (n - 8) * f(n - 8)
-        + 512 * (n - 9) * (n - 8) * f(n - 9)
+        10 * (n * n + n - 8) * values[n - 3]
+        - 4 * (2 * n * n - 10 * n + 3) * values[n - 4]
+        - 24 * (2 * n - 11) * values[n - 5]
+        - 32 * (2 * n * n - 10 * n - 1) * values[n - 6]
+        - 192 * (n - 1) * (n - 5) * values[n - 7]
+        + 64 * (2 * n * n - 22 * n + 51) * values[n - 8]
+        + 384 * (2 * n - 13) * values[n - 9]
+        - 256 * (n - 3) * (n - 8) * values[n - 10]
+        + 512 * (n - 9) * (n - 8) * values[n - 11]
     )
 
 
@@ -77,13 +85,10 @@ def f_sequence(n_max: int) -> list[Fraction]:
     if n_max > _I64_MAX:
         raise InstanceTooLargeError(f"n_max={_shown(n_max)} exceeds 64-bit range")
     from fractions import Fraction
-    values: dict[int, Fraction] = {}
-    for n in range(2, n_max + 1):
-        if n <= 10:
-            values[n] = Fraction(*_INITIAL[n - 2])
-        else:
-            values[n] = _recurrence_rhs(n, values.__getitem__) / (-5 * (n + 3) * (n - 2))
-    return [values[n] for n in range(2, n_max + 1)]
+    values = [Fraction(*pair) for pair in _INITIAL[:n_max - 1]]
+    for n in range(11, n_max + 1):
+        values.append(_recurrence_rhs(n, values) / (-5 * (n + 3) * (n - 2)))
+    return values
 
 
 def f_value(n: int) -> Fraction:
@@ -100,11 +105,7 @@ def recurrence_residual(values: Sequence[Fraction], n: int) -> Fraction:
     ``values[i]`` must hold f(i+2).  Only meaningful for n >= 11.
     """
     _at_least("n", n, 11)
-
-    def f(i: int) -> Fraction:
-        return values[i - 2]
-
-    return -5 * (n + 3) * (n - 2) * f(n) - _recurrence_rhs(n, f)
+    return -5 * (n + 3) * (n - 2) * values[n - 2] - _recurrence_rhs(n, values)
 
 
 def _conjecture_block(n: int) -> tuple[int, int]:
@@ -176,10 +177,13 @@ def known_bounds(n: int, m: int) -> tuple[Bound, Bound]:
 
     n = 1..4 use their dedicated closed forms; for n >= 5 the proven
     side is +/- 2^(n-2)*floor(m/2) and the other side is the conjectured
-    m*f(n), available only when the required divisor divides m.
+    m*f(n), available only when the required divisor divides m.  An n
+    past 2**63 - 1 raises ``InstanceTooLargeError``, as in ``f_value``.
     """
     _at_least("arity", n, 1)
     _at_least("modulus", m, 1)
+    if n > _I64_MAX:
+        raise InstanceTooLargeError(f"n={_shown(n)} exceeds 64-bit range")
     if n == 1:
         return Bound(0, "proven", "0"), Bound(m - 1, "proven", "m-1")
     if n == 2:

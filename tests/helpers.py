@@ -1,11 +1,14 @@
-"""Shared enumeration, hypothesis strategies, cross-check helpers and the in-process
-CLI runner for the test suite."""
+"""Shared enumeration, hypothesis strategies, cross-check helpers and the two CLI
+runners for the test suite: in process, and through the entry point in a fresh process."""
 
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from pathlib import Path
 from typing import Sequence
 from unittest.mock import patch
 
@@ -120,7 +123,7 @@ def reference_extremes(space) -> ExtremeRecord:
 
 @dataclass(frozen=True)
 class Invocation:
-    """What one in-process CLI run wrote and returned."""
+    """What one CLI run wrote and returned."""
 
     exit_code: int
     stdout_bytes: bytes
@@ -156,3 +159,21 @@ def invoke(argv: Sequence[str], env: dict | None = None) -> Invocation:
     out.flush()
     err.flush()
     return Invocation(code, out.buffer.getvalue(), err.buffer.getvalue())
+
+
+# The environment of every CLI process the suite starts: this checkout's src on
+# PYTHONPATH, and no inherited FLOORSUM_CACHE.
+STARTED_ENV = {**{name: value for name, value in os.environ.items() if name != "FLOORSUM_CACHE"},
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
+def run_entry_point(argv: Sequence[str], directory: Path) -> Invocation:
+    """Run the CLI on ``argv`` as an installed ``floorsum`` runs it: a script of that
+    name, written to ``directory``, that calls ``main()`` as pip's console script does,
+    in a fresh process under ``STARTED_ENV`` with ``directory`` as its working
+    directory, for at most 60 s."""
+    script = directory / "floorsum"
+    script.write_text("from floorsum.cli import main\nmain()\n")
+    done = subprocess.run([sys.executable, str(script), *argv], env=STARTED_ENV, cwd=directory,
+                          capture_output=True, timeout=60)
+    return Invocation(done.returncode, done.stdout, done.stderr)

@@ -1,4 +1,5 @@
-"""CLI and cache tests, the CLI run in process through ``helpers.invoke``."""
+"""CLI and cache tests, the CLI run in process through ``helpers.invoke`` unless a test
+needs a fresh process."""
 
 import json
 import multiprocessing
@@ -9,7 +10,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +30,7 @@ from floorsum.cli import RunConfig, run
 from floorsum.core import eval_closed_all_k
 from floorsum.symmetry import CASE_VALUES, delta
 
-from helpers import invoke
+from helpers import STARTED_ENV, invoke, run_entry_point
 
 
 # ------------------------------------------------------------------ eval
@@ -268,6 +268,11 @@ def test_verify_conjecture_cli_pass_and_divisibility():
     assert result.exit_code == 0 and "PASS" in result.output
     result = invoke(["verify-conjecture", "--n", "5", "--m", "5"])
     assert result.exit_code == 2 and "multiple of 3" in result.output
+    # an m past the decimal digit limit is refused as fast, in a short message
+    result = invoke(["verify-conjecture", "--n", "4", "--m", str(10**4000 + 1)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.endswith("Error: m=(13288 bits) must be a multiple of 3\n")
+    assert len(result.stderr.encode()) < 300
 
 
 def test_verify_conjecture_checks_divisibility_before_searching(tmp_path, monkeypatch):
@@ -454,20 +459,16 @@ def test_parser_edges(argv, code, stdout, error):
 
 
 def _started(argv, stdout=subprocess.PIPE):
-    src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
-                          stdout=stdout, stderr=subprocess.PIPE)
+    return subprocess.run(argv, env=STARTED_ENV, stdout=stdout, stderr=subprocess.PIPE)
 
 
 def test_program_name_follows_how_the_cli_was_started(tmp_path):
     as_module = _started([sys.executable, "-m", "floorsum.cli", "eval"])
     assert as_module.returncode == 2
     assert as_module.stderr.startswith(b"Usage: python -m floorsum.cli eval [OPTIONS]\n")
-    script = tmp_path / "floorsum"  # what an installed entry-point script runs
-    script.write_text("from floorsum.cli import main\nmain()\n")
-    as_script = _started([sys.executable, str(script), "eval"])
-    assert as_script.returncode == 2
-    assert as_script.stderr.startswith(b"Usage: floorsum eval [OPTIONS]\n")
+    as_script = run_entry_point(["eval"], tmp_path)
+    assert as_script.exit_code == 2
+    assert as_script.stderr.startswith("Usage: floorsum eval [OPTIONS]\n")
 
 
 def test_a_closed_stdout_exits_1_quietly():
@@ -749,10 +750,12 @@ def test_cli_cache_flag_and_env(tmp_path):
     flag_path = tmp_path / "flag.jsonl"
     env_path = tmp_path / "env.jsonl"
     args = ("search", "--n", "3", "--m", "6", "--format", "json")
+    fresh = invoke(args, env={"FLOORSUM_CACHE": None})
     first = invoke([*args, "--cache", str(flag_path)])
-    assert flag_path.exists()
+    assert flag_path.read_text().count("\n") == 1  # a miss appends one line
     second = invoke([*args, "--cache", str(flag_path)])
-    assert first.output == second.output  # cache transparency
+    assert flag_path.read_text().count("\n") == 1  # and a hit none
+    assert fresh.output == first.output == second.output  # cache transparency
     third = invoke(args, env={"FLOORSUM_CACHE": str(env_path)})
     assert env_path.exists()
     assert third.output == first.output
@@ -824,11 +827,9 @@ UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib", "datacl
 
 def test_importing_the_cli_does_not_import_multiprocessing():
     # -S skips the site module, whose .pth files may import any of these first
-    src = Path(__file__).resolve().parent.parent / "src"
     code = ("import floorsum.cli, sys\n"
             f"print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         env={**os.environ, "PYTHONPATH": str(src)},
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=STARTED_ENV,
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
@@ -848,8 +849,7 @@ FREEZE_PROBES = [
 
 @pytest.mark.parametrize("code, stdout", FREEZE_PROBES, ids=["library", "entry-point"])
 def test_only_main_freezes_the_gc(code, stdout):
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    out = subprocess.run([sys.executable, "-c", code], env=STARTED_ENV,
                          capture_output=True, text=True, check=True)
     assert out.stdout == stdout
 
@@ -860,11 +860,10 @@ def test_only_main_freezes_the_gc(code, stdout):
 # first ends past the in-process limit).
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_ctrl_c_prints_only_aborted(workers):
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "floorsum.cli", "search", "--n", "14", "--m", "40",
          "--workers", workers],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=STARTED_ENV,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,  # its own process group, as a terminal's foreground job
         # a runner started in the background may ignore SIGINT; the CLI must not inherit that

@@ -6,6 +6,7 @@ search in the acceptance suite.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -88,6 +89,25 @@ def test_consistency_with_divisor_style_coefficients():
         assert m * f_value(7) == 40 * (m // 5)
         assert m * f_value(8) == -90 * (m // 5)
         assert m * f_value(9) == 180 * (m // 5)
+
+
+def test_f_is_a_finite_sum_at_each_predicted_site_through_120():
+    # d*f(n) = S_d(c^n, c - 1) with the subsets grouped by size, for the divisors
+    # d and sites c of the conjecture module docstring: checked, not proven
+    def site_sum(n, d, c):
+        return sum((-1) ** (n - j) * comb(n, j) * ((t + j * c) // d)
+                   for t in range(c) for j in range(n + 1))
+
+    seq = f_sequence(120)
+    for n in range(4, 121):
+        k = (n + 1) // 4
+        sites = [(2 * k + 1, k), (2 * k + 1, k + 1)]
+        if n % 4 == 2:
+            sites += [(2 * k + 3, k + 1), (2 * k + 3, k + 2)]
+        for d, c in sites:
+            assert site_sum(n, d, c) == d * seq[n - 2], (n, d, c)
+            if n <= 10:
+                assert site_sum(n, d, c) == eval_direct(Instance(d, (c,) * n, c - 1))
 
 
 def test_f_sequence_rejects_small_n():
@@ -313,7 +333,8 @@ H = 10**5000  # str() refuses it with a plain ValueError
 # Each call is written once, as its test id.
 @pytest.mark.parametrize("call, error", [
     *((call, FloorSumError) for call in [
-        "known_bounds(5, -H)", "known_bounds(-H, 5)",
+        "known_bounds(5, -H)", "known_bounds(-H, 5)", "known_bounds(H, 5)",
+        "known_bounds(2**63, 5)",
         "predicted_extremes(4, -H)", "predicted_extremes(4, H + 1)",
         "f_sequence(-H)", "f_value(-H)", "recurrence_residual([], -H)",
         "verify_conjecture(-H, 5)", "verify_conjecture(4, H + 1)",

@@ -1,9 +1,11 @@
 """Golden-file tests: exact stdout bytes, stderr bytes and exit status of the CLI.
 
-Each case runs one command line in-process and compares its stdout with
-``tests/golden/<name>.out`` and its stderr with ``tests/golden/<name>.err``;
-a missing file stands for empty output.  The files were captured from a
-trusted build; any change to them is a change to the CLI's output.
+Each case runs one command line as an installed ``floorsum`` runs it, through
+the entry point in a fresh process (``helpers.run_entry_point``), and compares
+its stdout with ``tests/golden/<name>.out`` and its stderr with
+``tests/golden/<name>.err``; a missing file stands for empty output.  The
+files were captured from a trusted build; any change to them is a change to
+the CLI's output.
 
 To re-record after an intended output change:
 
@@ -17,7 +19,7 @@ import pytest
 
 from floorsum import ExtremeRecord, ResultCache, SearchSpace, extremes
 
-from helpers import invoke
+from helpers import run_entry_point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,6 +104,20 @@ CASES.update({
                     "f-seq", "delta-scan")
 })
 
+# Oversize queries, each refused with exit 2 at once: past 64-bit range, past
+# Python's decimal digit limit, or refused its memory by the allocator.
+HUGE = str(10**4000)
+CASES.update({
+    "oversize-search": (["search", "--n", "70", "--m", "3"], 2, None),
+    "oversize-search-n-digits": (["search", "--n", "20000", "--m", "3"], 2, None),
+    "oversize-verify-conjecture-m-digits": (["verify-conjecture", "--n", "4",
+                                             "--m", str(10**4000 + 1)], 2, None),
+    "oversize-table-m-max-digits": (["table", "--n", "1", "--m-max", HUGE], 2, None),
+    "oversize-delta-scan-m-max-digits": (["delta-scan", "--m-max", HUGE], 2, None),
+    "oversize-delta-scan-memory": (["delta-scan", "--m", "100000000000"], 2, None),
+    "oversize-f-seq-n-max-digits": (["f-seq", "--n-max", HUGE], 2, None),
+})
+
 
 def _poisoned_cache(directory: Path, name: str) -> str:
     space, overrides = POISON[name]
@@ -111,13 +127,11 @@ def _poisoned_cache(directory: Path, name: str) -> str:
     return str(path)
 
 
-def _invoke(name: str, directory: Path):
+def _run(name: str, directory: Path):
     argv, _, poison = CASES[name]
     if poison is not None:
         argv = argv + ["--cache", _poisoned_cache(directory, poison)]
-    # ``invoke`` names the program floorsum however the suite runs; an
-    # inherited FLOORSUM_CACHE is dropped.
-    return invoke(argv, env={"FLOORSUM_CACHE": None})
+    return run_entry_point(argv, directory)
 
 
 def _golden(name: str, suffix: str) -> bytes:
@@ -127,7 +141,7 @@ def _golden(name: str, suffix: str) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
-    result = _invoke(name, tmp_path)
+    result = _run(name, tmp_path)
     assert result.exit_code == CASES[name][1]
     assert result.stdout_bytes == _golden(name, ".out")
     assert result.stderr_bytes == _golden(name, ".err")
@@ -136,7 +150,7 @@ def test_golden_output(name, tmp_path):
 def _record(directory: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
-        result = _invoke(name, directory)
+        result = _run(name, directory)
         if result.exit_code != CASES[name][1]:
             raise SystemExit(f"{name}: exit status {result.exit_code}, "
                              f"expected {CASES[name][1]}")
