@@ -80,14 +80,18 @@ def f_sequence(n_max: int) -> list[Fraction]:
     recurrence right-hand side divided by -5(n+3)(n-2), which never
     vanishes for n >= 11.  An n_max past 2**63 - 1 raises
     ``InstanceTooLargeError``: no list of n_max - 1 values fits in memory.
+    A smaller n_max whose list cannot be allocated raises ``MemoryError``
+    before any term is computed.
     """
     _at_least("n_max", n_max, 2)
     if n_max > _I64_MAX:
         raise InstanceTooLargeError(f"n_max={_shown(n_max)} exceeds 64-bit range")
     from fractions import Fraction
-    values = [Fraction(*pair) for pair in _INITIAL[:n_max - 1]]
+    values = [None] * (n_max - 1)
+    for i, pair in enumerate(_INITIAL[:n_max - 1]):
+        values[i] = Fraction(*pair)
     for n in range(11, n_max + 1):
-        values.append(_recurrence_rhs(n, values) / (-5 * (n + 3) * (n - 2)))
+        values[n - 2] = _recurrence_rhs(n, values) / (-5 * (n + 3) * (n - 2))
     return values
 
 

@@ -49,7 +49,7 @@ import math
 import os
 import time
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, combinations_with_replacement, islice
+from itertools import accumulate, chain, combinations_with_replacement, islice
 from operator import sub
 
 from .core import _check_width, _plain_ints, _Record, eval_closed_all_k
@@ -235,11 +235,16 @@ def extremes(space: SearchSpace, workers: int = 1) -> ExtremeRecord:
     n, m = space.n, space.m
     k_lo, k_hi = space.k_range
     # For n = 1 every multiset is a constant, and the walk visits them all
-    # anyway (it prunes only at |P| >= 2), so the first alone seeds it.
-    near_constant = ([(c,) * j + (c - 1,) * (n - j) for c in range(m - 1, 0, -1)
-                      for j in range(n, 0, -1)] + [(0,) * n]) if n > 1 else [(m - 1,)]
-    seeds = [eval_closed_all_k(m, a)[k_lo: k_hi + 1] for a in near_constant]
-    seed_max, seed_min = max(map(max, seeds)), min(map(min, seeds))
+    # anyway (it prunes only at |P| >= 2), so the first alone seeds it.  The
+    # seeds are built lazily and only each sweep's extremes are kept, so a
+    # modulus past the memory fails at its first sweep.
+    near_constant = chain(((c,) * j + (c - 1,) * (n - j) for c in range(m - 1, 0, -1)
+                           for j in range(n, 0, -1)), [(0,) * n]) if n > 1 else [(m - 1,)]
+    windows = (eval_closed_all_k(m, a)[k_lo: k_hi + 1] for a in near_constant)
+    window = next(windows)
+    seed_max, seed_min = max(window), min(window)
+    for window in windows:
+        seed_max, seed_min = max(seed_max, max(window)), min(seed_min, min(window))
     tasks = [(n, m, first, k_lo, k_hi, space.cap, seed_max, seed_min)
              for first in range(m - 1, -1, -1)]
     workers = min(workers, _available_cpus())

@@ -1,5 +1,6 @@
-"""Shared enumeration, hypothesis strategies, cross-check helpers and the two CLI
-runners for the test suite: in process, and through the entry point in a fresh process."""
+"""Shared enumeration, hypothesis strategies, cross-check helpers, the doctored-cache
+helper and the two CLI runners for the test suite: in process, and through the entry
+point in a fresh process."""
 
 import io
 import os
@@ -14,9 +15,8 @@ from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from floorsum import DomainError, ExtremeRecord, Instance, eval_closed
+from floorsum import DomainError, ExtremeRecord, Instance, ResultCache, eval_closed, extremes
 from floorsum.cli import cli
-from floorsum.core import _signed_subset_sums
 from floorsum.search import enumerate_multisets
 
 
@@ -40,29 +40,6 @@ def bounded_instances(draw, n_min=1, n_max=5, m_max=12):
     a = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
     k = draw(st.integers(0, m - 1))
     return Instance(m, a, k)
-
-
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One signed term of the inclusion-exclusion expansion."""
-
-    mask: int
-    subset_sum: int
-    sign: int
-
-
-def subset_terms(a: Sequence[int]) -> list[SubsetTerm]:
-    """The 2^n signed subset terms of a multiset, in mask order.
-
-    ``sign`` is +1 exactly when the subset size has the parity of n.
-    The evaluators work from the same expansion internally; this view
-    exposes it for inspection.
-    """
-    values = tuple(a)
-    if not values or min(values) < 0:
-        raise DomainError("the multiset must be nonempty with elements >= 0")
-    return [SubsetTerm(mask, s, sg)
-            for mask, (sg, s) in enumerate(_signed_subset_sums(values))]
 
 
 def n4_five_sum(m: int, a: Sequence[int], k: int) -> tuple[int, int, tuple[int, ...]]:
@@ -119,6 +96,14 @@ def reference_extremes(space) -> ExtremeRecord:
         space, max_value=max_value, min_value=min_value,
         max_sites=tuple(max_sites[:space.cap]), min_sites=tuple(min_sites[:space.cap]),
         max_count=len(max_sites), min_count=len(min_sites))
+
+
+def poisoned_cache(path: Path, space, **overrides) -> str:
+    """Plant at ``path`` a cache holding the record of ``space`` with ``overrides``
+    applied, so the CLI's failure paths can be driven by a served record."""
+    record = ExtremeRecord.from_dict({**extremes(space).to_dict(), **overrides})
+    ResultCache(path).put(space, record)
+    return str(path)
 
 
 @dataclass(frozen=True)

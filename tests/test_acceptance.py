@@ -9,7 +9,6 @@ in total) because the envelopes are part of the contract.
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from floorsum import (
     Instance,
@@ -25,6 +24,7 @@ from floorsum import (
     sequence_table,
     verify_conjecture,
 )
+from floorsum.search import enumerate_multisets
 from helpers import n4_five_sum
 
 # Published n=4 extreme sequences, m = 1..22.
@@ -44,16 +44,12 @@ def criterion(label):
     print(f"[PASS] criterion {label}")
 
 
-def multisets(n, m):
-    return combinations_with_replacement(range(m - 1, -1, -1), n)
-
-
 def test_criterion_1_oracle_equivalence():
     with criterion("1: closed form = definitional oracle "
                    "(exhaustive n<=3 m<=12; 10^5 random n in {4,5,6} m<=20)"):
         for m in range(1, 13):
             for n in (1, 2, 3):
-                for a in multisets(n, m):
+                for a in enumerate_multisets(n, m):
                     for k in range(m):
                         inst = Instance(m, a, k)
                         assert eval_closed(inst) == eval_direct(inst), inst
@@ -78,17 +74,17 @@ def test_criterion_3_proven_bounds():
                    "+ five-sum identity on every n=4 cell"):
         for m in range(1, 26):
             upper = m // 2
-            for a in multisets(2, m):
+            for a in enumerate_multisets(2, m):
                 for v in eval_closed_all_k(m, a):
                     assert 0 <= v <= upper, (m, a)
         for m in range(1, 21):
             lower, upper = -2 * (m // 2), m // 3
-            for a in multisets(3, m):
+            for a in enumerate_multisets(3, m):
                 for v in eval_closed_all_k(m, a):
                     assert lower <= v <= upper, (m, a)
         for m in range(1, 15):
             upper, lower = 4 * (m // 2), -2 * (m // 2) - m // 3
-            for a in multisets(4, m):
+            for a in enumerate_multisets(4, m):
                 sweep = eval_closed_all_k(m, a)
                 for k, v in enumerate(sweep):
                     assert lower <= v <= upper, (m, a, k)
@@ -100,7 +96,7 @@ def test_criterion_4_mirror_lemmas():
     with criterion("4: mirror identity exhaustive (n=2,3, m<=20, K<=m-2)"):
         for m in range(1, 21):
             for n in (2, 3):
-                for a in multisets(n, m):
+                for a in enumerate_multisets(n, m):
                     sweep = eval_closed_all_k(m, a)
                     mirrored = tuple(sorted(((m - v) % m for v in a), reverse=True))
                     mirrored_sweep = eval_closed_all_k(m, mirrored)

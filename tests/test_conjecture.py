@@ -380,16 +380,3 @@ def test_identity_known_values():
     for order in ((2, 5, 1, 4), (4, 1, 5, 2), (1, 4, 2, 5)):
         lhs, rhs, _ = n4_five_sum(6, order, 3)
         assert lhs == rhs == eval_direct(Instance(6, order, 3))
-
-
-def test_identity_exhaustive_small():
-    # the identity, and the partial lower bound S >= -2*floor(m/2) - floor(m/3)
-    for m in range(1, 11):
-        for a1 in range(m):
-            for a2 in range(a1 + 1):
-                for a3 in range(a2 + 1):
-                    for a4 in range(a3 + 1):
-                        for k in range(m):
-                            lhs, rhs, _ = n4_five_sum(m, (a1, a2, a3, a4), k)
-                            assert lhs == rhs, (m, (a1, a2, a3, a4), k)
-                            assert lhs >= -2 * (m // 2) - m // 3, (m, (a1, a2, a3, a4), k)

@@ -21,7 +21,8 @@ from floorsum import (
     eval_direct,
     inner_term,
 )
-from helpers import bounded_instances, iter_bounded, subset_terms
+from floorsum.core import _signed_subset_sums
+from helpers import bounded_instances, iter_bounded
 
 
 # ---------------------------------------------------------------- examples
@@ -255,17 +256,16 @@ def test_all_k_sweep_requires_reduced_elements():
 
 
 def test_subset_terms_structure():
+    # entry j of the expansion is the subset whose mask is j
     a = (5, 3, 2)
-    terms = subset_terms(a)
+    terms = _signed_subset_sums(a)
     assert len(terms) == 8
     total = sum(a)
-    for term in terms:
-        picked = [a[i] for i in range(3) if term.mask >> i & 1]
-        assert term.subset_sum == sum(picked) <= total
-        assert term.sign == (1 if (len(a) - len(picked)) % 2 == 0 else -1)
-        assert (term.sign == 1) == (len(picked) % 2 == len(a) % 2)
+    for mask, (sign, subset_sum) in enumerate(terms):
+        picked = [a[i] for i in range(3) if mask >> i & 1]
+        assert subset_sum == sum(picked) <= total
+        assert sign == (1 if (len(a) - len(picked)) % 2 == 0 else -1)
+        assert (sign == 1) == (len(picked) % 2 == len(a) % 2)
     # the expansion these terms spell out is exactly the inner sum
     for k in (0, 2, 7):
-        assert inner_term(9, a, k) == sum(
-            t.sign * ((k + t.subset_sum) // 9) for t in terms
-        )
+        assert inner_term(9, a, k) == sum(sign * ((k + s) // 9) for sign, s in terms)

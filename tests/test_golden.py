@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from floorsum import ExtremeRecord, ResultCache, SearchSpace, extremes
+from floorsum import SearchSpace
 
-from helpers import run_entry_point
+from helpers import poisoned_cache, run_entry_point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,7 +36,7 @@ _QUERIES = [
     ("delta-scan", ["delta-scan", "--m", "10"]),
 ]
 
-# Doctored cache records that drive the failure paths (see test_cli._poison).
+# Doctored cache records that drive the failure paths (see helpers.poisoned_cache).
 POISON = {
     "bound-violation": (SearchSpace(2, 10), {"max_value": 99}),
     "conjecture-failure": (SearchSpace(5, 6), {"max_value": 13, "max_count": 1}),
@@ -58,6 +58,8 @@ CASES.update({
     "verify-conjecture-part2-human": (["verify-conjecture", "--n", "6", "--m", "15"], 0, None),
     "verify-conjecture-part2-csv": (["verify-conjecture", "--n", "6", "--m", "15",
                                      "--format", "csv"], 0, None),
+    "verify-conjecture-part2-json": (["verify-conjecture", "--n", "6", "--m", "15",
+                                      "--format", "json"], 0, None),
     "verify-bounds-n2-csv": (["verify-bounds", "--n", "2", "--m", "10",
                               "--format", "csv"], 0, None),
     "bound-violation-human": (["verify-bounds", "--n", "2", "--m", "10"],
@@ -77,6 +79,7 @@ CASES.update({
     "usage-no-command": ([], 2, None),
     "usage-eval-k": (["eval", "--m", "5", "--a", "2,3", "--k", "7"], 2, None),
     "usage-eval-a": (["eval", "--m", "5", "--a", "2;3", "--k", "1"], 2, None),
+    "usage-eval-a-empty": (["eval", "--m", "5", "--a", "", "--k", "1"], 2, None),
     "usage-eval-a-negative": (["eval", "--m", "5", "--a", "2,-1", "--k", "1"], 2, None),
     "usage-table-workers": (["table", "--n", "2", "--m-max", "3", "--workers", "0"], 2, None),
     "usage-search-k-range": (["search", "--n", "2", "--m", "8", "--k-min", "5",
@@ -115,22 +118,18 @@ CASES.update({
     "oversize-table-m-max-digits": (["table", "--n", "1", "--m-max", HUGE], 2, None),
     "oversize-delta-scan-m-max-digits": (["delta-scan", "--m-max", HUGE], 2, None),
     "oversize-delta-scan-memory": (["delta-scan", "--m", "100000000000"], 2, None),
+    "oversize-search-memory": (["search", "--n", "1", "--m", "100000000000"], 2, None),
+    "oversize-search-n2-memory": (["search", "--n", "2", "--m", "100000000000"], 2, None),
     "oversize-f-seq-n-max-digits": (["f-seq", "--n-max", HUGE], 2, None),
+    "oversize-f-seq-memory": (["f-seq", "--n-max", "1000000000000"], 2, None),
 })
-
-
-def _poisoned_cache(directory: Path, name: str) -> str:
-    space, overrides = POISON[name]
-    path = directory / f"{name}.jsonl"
-    record = extremes(space)
-    ResultCache(path).put(space, ExtremeRecord.from_dict({**record.to_dict(), **overrides}))
-    return str(path)
 
 
 def _run(name: str, directory: Path):
     argv, _, poison = CASES[name]
     if poison is not None:
-        argv = argv + ["--cache", _poisoned_cache(directory, poison)]
+        space, overrides = POISON[poison]
+        argv = argv + ["--cache", poisoned_cache(directory / f"{poison}.jsonl", space, **overrides)]
     return run_entry_point(argv, directory)
 
 
@@ -145,6 +144,13 @@ def test_golden_output(name, tmp_path):
     assert result.exit_code == CASES[name][1]
     assert result.stdout_bytes == _golden(name, ".out")
     assert result.stderr_bytes == _golden(name, ".err")
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # re-recording never deletes the files of a removed case, so this catches them
+    orphans = [path.name for path in GOLDEN.iterdir()
+               if path.stem not in CASES or path.suffix not in (".out", ".err")]
+    assert orphans == []
 
 
 def _record(directory: Path) -> None:

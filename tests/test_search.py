@@ -27,11 +27,6 @@ from floorsum import (
 from floorsum.search import DEFAULT_CAP, enumerate_multisets
 from helpers import extreme_values_mirror_pruned, reference_extremes
 
-# First twelve entries of the published n=4 extreme sequences.
-N4_MAX_PREFIX = [0, 4, 3, 8, 7, 12, 11, 16, 15, 20, 19, 24]
-N4_MIN_PREFIX = [0, 0, -3, -2, -3, -6, -5, -6, -9, -8, -9, -12]
-
-
 def test_enumeration_order_and_counts():
     assert list(enumerate_multisets(2, 2)) == [(1, 1), (1, 0), (0, 0)]
     assert list(enumerate_multisets(1, 5)) == [(4,), (3,), (2,), (1,), (0,)]
@@ -435,12 +430,6 @@ def test_record_from_dict_names_the_first_missing_field():
     del data["min_count"], data["cap"]
     with pytest.raises(KeyError, match="'cap'"):
         ExtremeRecord.from_dict(data)
-
-
-def test_sequence_table_known_prefix():
-    maxima, minima = sequence_table(4, 12)
-    assert maxima == N4_MAX_PREFIX
-    assert minima == N4_MIN_PREFIX
 
 
 def test_sequence_table_one_element():
