@@ -17,8 +17,9 @@ query does not pay for a parser library.
 
 Exit status: 0 on success and on "conjectured value not attained"
 (reported, not fatal); 1 on interrupt (Ctrl-C); 2 on invalid input, an
-unusable cache path, instances too large for checked 64-bit arithmetic
-or a query too large for memory; 3 on a proven-bound violation or
+unusable cache path, instances too large for checked 64-bit arithmetic,
+a query too large for memory or an f-seq whose terms may pass Python's
+limit on printed digits; 3 on a proven-bound violation or
 case-table mismatch (either one signals an implementation bug).
 """
 
@@ -206,6 +207,15 @@ def _run_verify_conjecture(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_f_seq(config: RunConfig) -> tuple[int, str]:
+    # Refuse, before any term is computed, an n_max whose terms may pass Python's limit
+    # on the digits of a printed int (0 when off, and absent, as is the limit, before
+    # 3.10.7).  f(n)'s numerator has at most n - 1 bits (checked up to 14285, the
+    # default limit's boundary), so every term prints while 2^(n_max - 1) <= 10^limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    largest = (10**limit).bit_length()
+    if limit and config.n_max > largest:
+        raise DomainError(f"n_max={_shown(config.n_max)} exceeds {largest}: past it, f(n) may "
+                          f"pass Python's limit of {limit} digits on printed integers")
     values = list(enumerate(f_sequence(config.n_max), start=2))
     return _output(config, {"start": 2, "f": [str(v) for _, v in values]},
                    ["n", "numerator", "denominator"],

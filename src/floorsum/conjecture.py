@@ -12,19 +12,60 @@ coefficients.  The attaining sites are constant multisets v^n at K = v - 1
 with v = (m -/+ m/d)/2 for each divisor d the arity requires, available
 only when d divides m; as d is odd, v = c*m/d with c = (d -/+ 1)/2.
 
-Refined conjecture (this repository's empirical claim, not the paper's;
-unproven, and checked exhaustively for n = 4..10, m = 2..16 by the
-acceptance suite): with k = floor((n+1)/4), the conjectured-side extreme
-never passes m*f(n) at any m.  It equals m*f(n) exactly when (2k+1) | m
-for n = 4k-1, 4k, 4k+1, and exactly when m lies in the numerical
-semigroup <2k+1, 2k+3> for n = 4k+2.  Checked for n = 4..120 by the test
-suite, not proven: d*f(n) is S_d at the predicted site c^n, K = c - 1, for
-d = 2k+1, c in {k, k+1} and, when n = 4k+2, d = 2k+3, c in {k+1, k+2}:
+Refined conjecture (this repository's claim, not the paper's; checked
+exhaustively for n = 4..10, m = 2..16 by the acceptance suite, and at every
+m for n = 4..7 by the finite certificate below): with k = floor((n+1)/4),
+the conjectured-side extreme never passes m*f(n) at any m.  It equals m*f(n)
+exactly when (2k+1) | m for n = 4k-1, 4k, 4k+1, and exactly when m lies in
+the numerical semigroup <2k+1, 2k+3> for n = 4k+2.  Checked for n = 4..120
+by the test suite, not proven: d*f(n) is S_d at the predicted site c^n,
+K = c - 1, for d = 2k+1, c in {k, k+1} and, when n = 4k+2, d = 2k+3,
+c in {k+1, k+2}:
 
     d*f(n) = sum_{t=0}^{c-1} sum_{j=0}^{n} (-1)^(n-j) C(n,j) floor((t + j*c)/d)
 
 As S_{i*d}((i*c)^n, i*c - 1) = i*S_d(c^n, c - 1) (split t = i*t' + r, 0 <= r < i),
 each predicted site then attains m*f(n) at every multiple m of its d.
+
+Finite certificate (computer-assisted: it rests on the search engine's
+records, whose pruning bound is proven in ``search.py`` and which the tests
+check against ``eval_direct`` on small envelopes).  By the continuum form in
+``core.py``, S_m(A, K) = m*Phi_n(A/m, (K+1)/m), with Phi_n continuous on the
+box [0,1]^n x [0,1] and linear on each cell of the arrangement of the
+hyperplanes sigma_T + c*kappa = q (c in {0, 1}, q an integer; the box facets
+are among them).  So Phi_n takes its max and min over the box at vertices of
+the arrangement.  A vertex solves B*(x, kappa) = q for an integer vector q and
+a nonsingular 0/1 matrix B of order n+1, so by Cramer's rule its coordinates
+lie in (1/D)*Z with D = |det B|, and by Hadamard's inequality (a 0/1 matrix of
+order N bordered into a +-1 matrix of order N+1),
+
+    D <= H(n+1) = floor((n+2)^((n+2)/2) / 2^(n+1)),  which is 6, 14, 32, 76 for n = 4..7.
+
+A vertex is then a cell of the search at m = D: A = D*x, an entry D read as 0
+by periodicity, and K = D*kappa - 1 (a vertex with kappa = 0 has Phi_n = 0).
+Hence, with E(n, m) the conjectured-side extreme, E(n, m)/m <= max over
+D <= H(n+1) of E(n, D)/D at every m (for the max; the min is mirrored), and
+"never passes m*f(n)" holds at every m once it holds at every m <= H(n+1).
+The searches find that it does for n = 4, 5, 6 (acceptance criterion 10) and
+n = 7 (the acceptance module run as a script, in CI).
+
+Equality then holds at every m exactly as the refined conjecture says, for
+n = 4..7.  For n = 4, 5 and 7, with d = 2k+1, the searches at m <= H(n+1)
+reach m*f(n) exactly at the multiples of d, each at the two constant sites
+alone.  The set where Phi_n = f(n) is a union of faces of the arrangement, and
+each vertex of such a face is a cell at its m = D <= H(n+1); so those vertices
+are the sites' two points, c/d*(1, ..., 1; 1) for c = k, k+1, and the segment
+between them is no such face, as its midpoint (1/2, ..., 1/2; 1/2) does not
+reach f(n) (Phi_n is 2, -4 and -16 there for n = 4, 5, 7).  So E(n, m) = m*f(n)
+exactly when d | m, at those two sites alone.
+
+For n = 6 the searches reach m*f(6) = -3m at every m <= 32 except 1, 2, 4
+and 7.  Every other m is i*3 + j*5 and is reached by the constant site v^6,
+v = i + 2j, at K = v - 1: on the diagonal, S_m(v^6, v - 1) = m*phi_6(v/m)
+with phi_6(x) = Phi_6(x, ..., x; x), whose breakpoints have denominators at
+most 7, so phi_6 is linear between the Farey neighbours 1/3 and 2/5, and it
+is f(6) at both (the finite sums above), so f(6) on all of [1/3, 2/5].  So
+E(6, m) = -3m exactly when m is not 1, 2, 4 or 7.
 
 Everything here is exact: f(n) is kept as a Fraction end to end, and
 verification compares search results with predictions by integer or
@@ -182,12 +223,13 @@ def known_bounds(n: int, m: int) -> tuple[Bound, Bound]:
     n = 1..4 use their dedicated closed forms; for n >= 5 the proven
     side is +/- 2^(n-2)*floor(m/2) and the other side is the conjectured
     m*f(n), available only when the required divisor divides m.  An n
-    past 2**63 - 1 raises ``InstanceTooLargeError``, as in ``f_value``.
+    past 64, whose 2^(n-2) alone passes 2**63 - 1, raises
+    ``InstanceTooLargeError`` before that power is built.
     """
     _at_least("arity", n, 1)
     _at_least("modulus", m, 1)
-    if n > _I64_MAX:
-        raise InstanceTooLargeError(f"n={_shown(n)} exceeds 64-bit range")
+    if n > 64:
+        raise InstanceTooLargeError(f"n={_shown(n)}: 2^(n-2) exceeds 64-bit range")
     if n == 1:
         return Bound(0, "proven", "0"), Bound(m - 1, "proven", "m-1")
     if n == 2:

@@ -14,6 +14,21 @@ prefix bound K >= 0.  Three evaluation routes are provided:
   0 <= K <= m-1, with cost O(2^n) independent of K.
 * ``eval_closed_all_k`` -- every K in [0, m-1] by inner-term rotation, O(n*m).
 
+Continuum form.  Write x = A/m, kappa = (K+1)/m, sigma_T for the sum of the x_i
+in T, and g(sigma, kappa) = floor(sigma)*kappa + max(0, {sigma} + kappa - 1).  Then
+on every bounded cell
+
+    S_m(A, K) = m * Phi_n(x, kappa),  Phi_n(x, kappa) = sum_{T subseteq A} (-1)^(n-|T|) * g(sigma_T, kappa),
+
+as each bracket of ``eval_closed`` is m*g(sigma_T, kappa): with s = m*sigma,
+floor(s/m)*(K+1) = m*floor(sigma)*kappa and max(0, s mod m + K - m + 1) =
+m*max(0, {sigma} + kappa - 1).  g is continuous for 0 <= kappa <= 1: as sigma
+rises to an integer q, (q-1)*kappa + max(0, {sigma} + kappa - 1) tends to
+(q-1)*kappa + kappa = q*kappa, its value at q.  So Phi_n is continuous on
+[0,1]^n x [0,1], 1-periodic in each x_i, and linear on each cell of the
+arrangement of the hyperplanes sigma_T in Z and sigma_T + kappa in Z.  The
+tests check the identity against ``eval_direct``.
+
 All arithmetic is exact.  ``Instance`` is the one check of a triple, which
 every evaluator takes or builds: it refuses a field that is not a plain int,
 one below its floor (``exceptions._at_least``) and, up front, a triple whose

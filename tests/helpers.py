@@ -3,21 +3,22 @@ helper and the two CLI runners for the test suite: in process, and through the e
 point in a fresh process."""
 
 import io
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Sequence
 from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from floorsum import DomainError, ExtremeRecord, Instance, ResultCache, eval_closed, extremes
+from floorsum import ExtremeRecord, Instance, ResultCache, eval_closed, extremes
 from floorsum.cli import cli
-from floorsum.search import enumerate_multisets
 
 
 def iter_bounded(n_max, m_max, n_min=1):
@@ -57,28 +58,17 @@ def n4_five_sum(m: int, a: Sequence[int], k: int) -> tuple[int, int, tuple[int, 
     return eval_closed(Instance(m, tuple(a), k)), rhs, terms
 
 
-def extreme_values_mirror_pruned(n: int, m: int) -> tuple[int, int]:
-    """Max/min from the half-K sweep, completed by the mirror identity.
-
-    Sweeps K in [0, ceil((m-1)/2) - 1] plus K = m-1.  Every skipped cell
-    is the mirror image of a swept one with the same value, so for
-    n >= 2 (where the identity is proven) the sweep already sees the
-    full value set.  Uses the plain per-cell evaluator; this is a
-    cross-check of the pruning argument, not a fast path.
-    """
-    if n < 2:
-        raise DomainError("mirror pruning is only sound where the identity is proven (n >= 2)")
-    ks = list(range(-(-(m - 1) // 2))) + [m - 1]
-    max_value = None
-    min_value = None
-    for a in enumerate_multisets(n, m):
-        for k in ks:
-            v = eval_closed(Instance(m, a, k))
-            if max_value is None or v > max_value:
-                max_value = v
-            if min_value is None or v < min_value:
-                min_value = v
-    return max_value, min_value
+def continuum_phi(x: Sequence[Fraction], kappa: Fraction) -> Fraction:
+    """Phi_n(x, kappa) = sum over T of (-1)^(n-|T|) * g(sigma_T, kappa), with sigma_T the
+    sum of the x_i in T and g(sigma, kappa) = floor(sigma)*kappa + max(0, {sigma} + kappa - 1),
+    in exact Fractions: the continuum form of ``core.py``, S_m(A, K) = m*Phi_n(A/m, (K+1)/m)."""
+    total = Fraction(0)
+    for size in range(len(x) + 1):
+        for subset in combinations(x, size):
+            sigma = sum(subset, Fraction(0))
+            q = math.floor(sigma)
+            total += (-1) ** (len(x) - size) * (q * kappa + max(0, sigma - q + kappa - 1))
+    return total
 
 
 def reference_extremes(space) -> ExtremeRecord:

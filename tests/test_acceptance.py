@@ -4,8 +4,14 @@ All checks are exact (integer or rational equality, zero tolerance).
 Each test prints a single PASS/FAIL line; run with ``pytest -v -s`` to
 see them.  This module is slower than the unit tests (roughly a minute
 in total) because the envelopes are part of the contract.
+
+Run as a script, it runs criterion 10's finite certificate at n = 7, every
+m <= H(8) = 76 (about a minute at two workers):
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -19,13 +25,15 @@ from floorsum import (
     eval_direct,
     extremes,
     f_sequence,
+    f_value,
     mirror,
+    predicted_extremes,
     recurrence_residual,
     sequence_table,
     verify_conjecture,
 )
 from floorsum.search import enumerate_multisets
-from helpers import n4_five_sum
+from helpers import continuum_phi, iter_bounded, n4_five_sum
 
 # Published n=4 extreme sequences, m = 1..22.
 N4_MAX = [0, 4, 3, 8, 7, 12, 11, 16, 15, 20, 19, 24,
@@ -46,13 +54,10 @@ def criterion(label):
 
 def test_criterion_1_oracle_equivalence():
     with criterion("1: closed form = definitional oracle "
-                   "(exhaustive n<=3 m<=12; 10^5 random n in {4,5,6} m<=20)"):
-        for m in range(1, 13):
-            for n in (1, 2, 3):
-                for a in enumerate_multisets(n, m):
-                    for k in range(m):
-                        inst = Instance(m, a, k)
-                        assert eval_closed(inst) == eval_direct(inst), inst
+                   "(exhaustive n<=4 m<=12; 10^5 random n in {4,5,6} m<=20)"):
+        for m, a, k in iter_bounded(n_max=4, m_max=12):
+            inst = Instance(m, a, k)
+            assert eval_closed(inst) == eval_direct(inst), inst
         rng = random.Random(20260810)
         for _ in range(100_000):
             n = rng.choice((4, 5, 6))
@@ -181,3 +186,60 @@ def test_criterion_9_refined_conjecture():
                 else:
                     tight = m % (2 * k + 1) == 0
                 assert (extreme == bound) == tight, (n, m, extreme, bound)
+
+
+def hadamard_bound(order: int) -> int:
+    """Hadamard's bound on |det B| for a 0/1 matrix B of that order:
+    floor((order+1)^((order+1)/2) / 2^order)."""
+    return math.isqrt((order + 1) ** (order + 1) // 4 ** order)
+
+
+def certificate(n: int, workers: int = 2) -> dict:
+    """Search the conjectured side at every m <= H(n+1), assert that its extreme never
+    passes m*f(n), and return {m: record} at each m where it equals m*f(n).  Why these
+    searches bound the extreme at every m is in the ``conjecture`` module docstring."""
+    f, sign = f_value(n), 1 if n % 2 else -1
+    equal = {}
+    for m in range(1, hadamard_bound(n + 1) + 1):
+        record = extremes(SearchSpace(n, m), workers)
+        extreme = record.max_value if n % 2 else record.min_value
+        assert sign * extreme <= sign * m * f, (n, m, extreme)
+        if extreme == m * f:
+            equal[m] = record
+    return equal
+
+
+def assert_attained_at_two_constant_sites_alone(n: int, equal: dict) -> None:
+    """For n = 4k-1, 4k, 4k+1 and d = 2k+1: ``certificate(n)`` found equality exactly at
+    the multiples of d, each attained by the two predicted constant sites alone, and the
+    midpoint (1/2, ..., 1/2; 1/2) between their points does not attain f(n)."""
+    d = 2 * ((n + 1) // 4) + 1
+    assert sorted(equal) == list(range(d, hadamard_bound(n + 1) + 1, d)), (n, sorted(equal))
+    for m, record in equal.items():
+        count, sites = ((record.max_count, record.max_sites) if n % 2
+                        else (record.min_count, record.min_sites))
+        assert count == 2, (n, m, count)
+        assert set(sites) == {(site.a, site.k) for site in predicted_extremes(n, m)}, (n, m)
+    half = Fraction(1, 2)
+    assert continuum_phi((half,) * n, half) != f_value(n)
+
+
+def test_criterion_10_finite_certificate():
+    with criterion("10: the conjectured side at every m from its searches at m <= H(n+1) "
+                   "= 6, 14, 32 for n = 4, 5, 6: never passes m*f(n); equals it exactly on "
+                   "3 | m, at the two constant sites alone, for n = 4, 5, and off "
+                   "m = 1, 2, 4, 7 for n = 6"):
+        assert [hadamard_bound(n + 1) for n in range(4, 11)] == [6, 14, 32, 76, 195, 521, 1458]
+        for n in (4, 5):
+            assert_attained_at_two_constant_sites_alone(n, certificate(n))
+        assert sorted(certificate(6)) == [m for m in range(1, 33) if m not in (1, 2, 4, 7)]
+
+
+if __name__ == "__main__":
+    found = certificate(7)
+    for m, record in found.items():
+        print(f"m={m}: max {record.max_value} = m*f(7), attained at {record.max_count} site(s)")
+    assert_attained_at_two_constant_sites_alone(7, found)
+    print("n=7: the max never passes m*f(7) at any m <= 76, so at no m; it equals m*f(7) "
+          "exactly at the multiples of 5 up to 76, each at the two constant sites alone, "
+          "so at every m exactly when 5 | m")

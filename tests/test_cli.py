@@ -22,6 +22,7 @@ from floorsum import (
     SearchSpace,
     cached_extremes,
     extremes,
+    f_sequence,
     sequence_table,
 )
 import floorsum.cli
@@ -166,6 +167,39 @@ def test_verify_conjecture_checks_divisibility_before_searching(tmp_path, monkey
     result = invoke(["verify-conjecture", "--n", "6", "--m", "17", "--cache", str(path)])
     assert result.exit_code == 2 and "multiple of" in result.output
     assert not path.exists()
+
+
+# ----------------------------------------------------------------- f-seq
+
+
+def test_f_seq_refuses_an_n_max_whose_terms_may_not_print(monkeypatch):
+    # The refusal rests on f(n)'s numerator having at most n - 1 bits: checked up to
+    # the default limit's boundary, and attained (at n = 27, among others).
+    values = f_sequence(14285)
+    assert all(v.numerator.bit_length() <= n - 1 and v.denominator in (1, 3)
+               for n, v in enumerate(values, start=2))
+    assert values[27 - 2].numerator.bit_length() == 26
+    message = ("Error: n_max={} exceeds {}: past it, f(n) may pass Python's limit of {} "
+               "digits on printed integers\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the least Python allows; 10^640 has 2127 bits
+        printed = invoke(["f-seq", "--n-max", "2127", "--format", "csv"])
+        assert printed.exit_code == 0 and len(printed.stdout.splitlines()) == 1 + 2126
+        refused = invoke(["f-seq", "--n-max", "2128"])
+        assert refused.exit_code == 2 and refused.stdout == ""
+        assert refused.stderr.endswith(message.format(2128, 2127, 640))
+        sys.set_int_max_str_digits(0)  # no limit: a list past the memory is still refused
+        unlimited = invoke(["f-seq", "--n-max", "1000000000000"])
+        assert unlimited.exit_code == 2
+        assert unlimited.stderr == "Error: not enough memory for this query\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    monkeypatch.setattr(floorsum.cli, "f_sequence", None)  # refused before any term
+    for n_max in (14286, 100_000_000):  # at the default 4300 digits, 10^4300 has 14285 bits
+        refused = invoke(["f-seq", "--n-max", str(n_max)])
+        assert refused.exit_code == 2
+        assert refused.stderr.endswith(message.format(n_max, 14285, 4300))
 
 
 # ------------------------------------------------------------- delta-scan

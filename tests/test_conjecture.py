@@ -1,11 +1,12 @@
 """Recurrence, bounds and conjecture-verification tests.
 
-f(2..10) are fixed initial values; f(11) = 148 was derived by evaluating
-the recurrence by hand and is independently confirmed against exhaustive
-search in the acceptance suite.
+The initial values f(2..10) and f(11) = 148, confirmed against exhaustive
+search, are acceptance criterion 8's.
 """
 
-from fractions import Fraction
+import math
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -34,20 +35,9 @@ from floorsum import (
     verify_conjecture,
 )
 from floorsum.search import enumerate_multisets
-from helpers import n4_five_sum
-
-INITIAL = [0, Fraction(1, 3), -1, 2, -3, 8, -18, 36, -65]
-
+from helpers import STARTED_ENV, n4_five_sum
 
 # -------------------------------------------------------------- recurrence
-
-
-def test_initial_values_verbatim():
-    assert f_sequence(10) == [Fraction(v) for v in INITIAL]
-
-
-def test_first_computed_value():
-    assert f_value(11) == 148
 
 
 def test_recurrence_residual_is_identically_zero():
@@ -108,6 +98,25 @@ def test_f_is_a_finite_sum_at_each_predicted_site_through_120():
             assert site_sum(n, d, c) == d * seq[n - 2], (n, d, c)
             if n <= 10:
                 assert site_sum(n, d, c) == eval_direct(Instance(d, (c,) * n, c - 1))
+
+
+def test_f_is_the_extremum_of_the_diagonal_over_its_breakpoints_through_64():
+    # phi_n(x) = Phi_n(x, ..., x; x) = sum_j (-1)^(n-j) C(n,j) g(j*x, x) is piecewise linear
+    # with breakpoints v/d, d <= n+1, and d*phi_n(v/d) is the integer S_d(v^n, v - 1), so
+    # L*phi_n(v/d) with L = lcm(1..n+1) puts every breakpoint over one denominator.  Its
+    # max (odd n) or min (even n) is f(n): checked, not proven.
+    def scaled(signs, d, v):  # d*phi_n(v/d), with signs[j] = (-1)^(n-j) C(n,j)
+        return sum(c * (j * v // d * v + max(0, j * v % d + v - d)) for j, c in enumerate(signs))
+
+    for n, f in enumerate(f_sequence(64)[2:], start=4):
+        signs = [(-1) ** (n - j) * comb(n, j) for j in range(n + 1)]
+        lcm = math.lcm(*range(1, n + 2))
+        values = [lcm // d * scaled(signs, d, v) for d in range(1, n + 2) for v in range(d + 1)]
+        assert (max(values) if n % 2 else min(values)) == lcm * f, n
+        if n <= 6:
+            for d in range(2, n + 2):
+                for v in range(1, d):
+                    assert scaled(signs, d, v) == eval_direct(Instance(d, (v,) * n, v - 1))
 
 
 def test_f_sequence_rejects_small_n():
@@ -353,6 +362,25 @@ def test_every_floor_refuses_a_huge_or_non_int_argument_cleanly(call, error):
     with pytest.raises(error) as caught:
         eval(call)
     assert len(str(caught.value)) < 100
+
+
+def test_known_bounds_refuses_an_arity_past_64_before_building_its_power():
+    # 2^(2^35 - 2) alone needs 4 GiB; under a 1 GiB address-space cap, building it
+    # would raise a bare MemoryError
+    child = ("import resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from floorsum import FloorSumError, known_bounds\n"
+             "try:\n"
+             "    known_bounds(2**35, 5)\n"
+             "except FloorSumError as exc:\n"
+             "    print(type(exc).__name__, exc)\n")
+    done = subprocess.run([sys.executable, "-c", child], env=STARTED_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "InstanceTooLargeError n=34359738368: 2^(n-2) exceeds 64-bit range\n"
+    assert known_bounds(64, 2)[1].value == 2**62
+    with pytest.raises(InstanceTooLargeError):
+        known_bounds(65, 2)
 
 
 def test_known_bounds_past_the_decimal_digit_limit_leave_the_conjecture_unavailable():

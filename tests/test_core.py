@@ -5,8 +5,8 @@ sum by hand or are asserted directly against ``eval_direct`` at test
 time; the closed form is never used to generate its own expectations.
 """
 
-import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from floorsum import (
     inner_term,
 )
 from floorsum.core import _signed_subset_sums
-from helpers import bounded_instances, iter_bounded
+from helpers import bounded_instances, continuum_phi, iter_bounded
 
 
 # ---------------------------------------------------------------- examples
@@ -159,27 +159,28 @@ def test_every_evaluator_rejects_a_bad_triple_as_instance_does(m, a, k, error):
 # ------------------------------------------------------------- properties
 
 
-def test_oracle_equivalence_exhaustive_small():
-    # invariant envelope: every bounded instance with n <= 4, m <= 12
-    for m, a, k in iter_bounded(n_max=4, m_max=12):
-        inst = Instance(m, a, k)
-        assert eval_closed(inst) == eval_direct(inst), (m, a, k)
-
-
-def test_oracle_equivalence_sampled_n5_n6():
-    rng = random.Random(61803)
-    for _ in range(1500):
-        n = rng.choice((5, 6))
-        m = rng.randint(1, 20)
-        a = tuple(rng.randrange(m) for _ in range(n))
-        inst = Instance(m, a, rng.randrange(m))
-        assert eval_closed(inst) == eval_direct(inst), inst
-
-
 @given(bounded_instances(n_max=5, m_max=12))
 @settings(max_examples=150, deadline=None)
 def test_oracle_equivalence_property(inst):
     assert eval_closed(inst) == eval_direct(inst)
+
+
+def _continuum_value(inst: Instance) -> Fraction:
+    """m * Phi_n(A/m, (K+1)/m), the right-hand side of the continuum form."""
+    x = tuple(Fraction(v, inst.m) for v in inst.a)
+    return inst.m * continuum_phi(x, Fraction(inst.k + 1, inst.m))
+
+
+def test_continuum_form_exhaustive_small():
+    for m, a, k in iter_bounded(n_max=4, m_max=7):
+        inst = Instance(m, a, k)
+        assert _continuum_value(inst) == eval_direct(inst), inst
+
+
+@given(bounded_instances(n_max=7, m_max=40))
+@settings(max_examples=150, deadline=None)
+def test_continuum_form_property(inst):
+    assert _continuum_value(inst) == eval_direct(inst)
 
 
 @given(bounded_instances(n_max=4, m_max=10))

@@ -108,7 +108,8 @@ CASES.update({
 })
 
 # Oversize queries, each refused with exit 2 at once: past 64-bit range, past
-# Python's decimal digit limit, or refused its memory by the allocator.
+# Python's decimal digit limit (in an argument, or in f-seq's terms), or refused its
+# memory by the allocator.
 HUGE = str(10**4000)
 CASES.update({
     "oversize-search": (["search", "--n", "70", "--m", "3"], 2, None),
@@ -121,7 +122,10 @@ CASES.update({
     "oversize-search-memory": (["search", "--n", "1", "--m", "100000000000"], 2, None),
     "oversize-search-n2-memory": (["search", "--n", "2", "--m", "100000000000"], 2, None),
     "oversize-f-seq-n-max-digits": (["f-seq", "--n-max", HUGE], 2, None),
+    # refused by the digit rule before its list is allocated; test_cli turns the limit off
+    # to drive f-seq's memory refusal
     "oversize-f-seq-memory": (["f-seq", "--n-max", "1000000000000"], 2, None),
+    "oversize-f-seq-printed-digits": (["f-seq", "--n-max", "14300"], 2, None),
 })
 
 
