@@ -216,11 +216,12 @@ def _run_f_seq(config: RunConfig) -> tuple[int, str]:
     if limit and config.n_max > largest:
         raise DomainError(f"n_max={_shown(config.n_max)} exceeds {largest}: past it, f(n) may "
                           f"pass Python's limit of {limit} digits on printed integers")
-    values = list(enumerate(f_sequence(config.n_max), start=2))
-    return _output(config, {"start": 2, "f": [str(v) for _, v in values]},
-                   ["n", "numerator", "denominator"],
-                   [[n, v.numerator, v.denominator] for n, v in values],
-                   [f"f({n}) = {v}" for n, v in values])
+    # each term is converted to decimal once, as that costs more than computing it
+    texts = [str(v) for v in f_sequence(config.n_max)]
+    halves = [text.partition("/") for text in texts]
+    return _output(config, {"start": 2, "f": texts}, ["n", "numerator", "denominator"],
+                   [[n, p, q or "1"] for n, (p, _, q) in enumerate(halves, start=2)],
+                   [f"f({n}) = {text}" for n, text in enumerate(texts, start=2)])
 
 
 _SCAN_HEADER = ["m", "cells", "case1", "case2", "case3", "case4", "sorted_case2"]

@@ -60,12 +60,53 @@ reach f(n) (Phi_n is 2, -4 and -16 there for n = 4, 5, 7).  So E(n, m) = m*f(n)
 exactly when d | m, at those two sites alone.
 
 For n = 6 the searches reach m*f(6) = -3m at every m <= 32 except 1, 2, 4
-and 7.  Every other m is i*3 + j*5 and is reached by the constant site v^6,
-v = i + 2j, at K = v - 1: on the diagonal, S_m(v^6, v - 1) = m*phi_6(v/m)
-with phi_6(x) = Phi_6(x, ..., x; x), whose breakpoints have denominators at
-most 7, so phi_6 is linear between the Farey neighbours 1/3 and 2/5, and it
-is f(6) at both (the finite sums above), so f(6) on all of [1/3, 2/5].  So
-E(6, m) = -3m exactly when m is not 1, 2, 4 or 7.
+and 7.  Every other m lies in <3, 5>, where a constant site reaches -3m by
+the "if" half of the constant-site rule below.  So E(6, m) = -3m exactly
+when m is not 1, 2, 4 or 7.
+
+Constant sites.  On the diagonal, S_m(v^n, v - 1) = m*phi_n(v/m), with
+phi_n(x) = Phi_n(x, ..., x; x) = sum_j (-1)^(n-j) C(n,j) g(j*x, x) and g as
+in ``core.py``.  phi_n is continuous and piecewise linear; its breakpoints
+are the fractions q/j and q/(j+1), j <= n, so their denominators are at most
+n+1 (proven).  With d = 2k+1 and e = 2k+3, the rule is: S_m(v^n, v - 1) =
+m*f(n) exactly when v = (m -/+ (i+j))/2 for some m = i*d + j*e, i, j >= 0,
+with j = 0 unless n = 4k+2.
+
+  "If" (proven, given the finite sums above, checked for n <= 120).  For
+  n = 4k+2, k/d and (k+1)/e are Farey neighbours ((k+1)*d - k*e = 1), as are
+  (k+2)/e and (k+1)/d.  A fraction strictly between Farey neighbours has a
+  denominator of at least the sum of theirs, 4k+4 = n+2, so no breakpoint
+  lies between them: phi_n is linear on both intervals, and it is f(n) at
+  every end, so f(n) on both.  Between Farey neighbours a/b and c/b', the
+  fractions v/m are exactly v = i*a + j*c, m = i*b + j*b' with i, j >= 0; so
+  v/m lies in [k/d, (k+1)/e] exactly when m = i*d + j*e and v = i*k +
+  j*(k+1) = (m - (i+j))/2, and in the other interval when v = (m + (i+j))/2.
+  For the other n, j = 0 and v/m is one of the predicted points k/d, (k+1)/d.
+
+  "Only if" (checked).  It rests on f(n) being the extremum of phi_n, which
+  the tests check over phi_n's breakpoints for n = 4..64.  Then phi_n - f(n)
+  has one sign, so on each linear piece it is either zero throughout or zero
+  at most at an end.  The set where phi_n = f(n) is thus fixed by phi_n at
+  the breakpoints and at one point inside each piece, such as the mediant of
+  its ends, whose denominator is at most 2n+2.  The tests evaluate every v/m
+  with m <= 60 for n = 4..23, which holds all of these, and find f(n) only
+  at the rule's v.  So for n = 4..23 the rule holds at every m, given those
+  two finite checks; for n >= 24 its "only if" half is unchecked.
+
+Proven side at odd m (checked, not proven).  For n >= 5 the proven side,
+the min for odd n and the max for even n, is bounded by +-2^(n-2)*floor(m/2),
+which (m/2)^n at K = m/2 - 1 reaches at even m.  At odd
+m >= 2*floor(n/4) + 1 the searches find it to be +-(2^(n-2)*(m-1)/2 - c_n),
+so the bound is not reached, with
+
+    c_{2j} = ((2j-1)*C(2j-2, j-1) - 4^(j-1))/2,  c_{2j+1} = 2*c_{2j}
+
+(c_n = 2, 7, 14, 38, 76, 187, 374 for n = 5..11).  It is attained exactly at
+((m+1)/2)^i ((m-1)/2)^(n-i) with K = (m-3)/2 + t, for t in {0, 1} and
+i + t in {ceil(n/2), floor(n/2) + 1}: two sites for odd n, four for even n.
+Acceptance criterion 11 checks this for n = 5..11 at every odd m from that
+onset to 25; below the onset (m = 3 for n = 8..11) the value differs.
+``known_bounds`` still reports the bound +-2^(n-2)*floor(m/2).
 
 Everything here is exact: f(n) is kept as a Fraction end to end, and
 verification compares search results with predictions by integer or

@@ -11,12 +11,14 @@ m <= H(8) = 76 (about a minute at two workers):
     PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import functools
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
 
 from floorsum import (
+    ExtremeRecord,
     Instance,
     SearchSpace,
     delta,
@@ -166,26 +168,47 @@ def test_criterion_8_recurrence_and_cross_check():
         assert record.max_value == 7 * seq[11 - 2] == 1036
 
 
+@functools.cache
+def search_once(n: int, m: int) -> ExtremeRecord:
+    """The record of every bounded cell of (n, m), searched once per process, at two workers."""
+    return extremes(SearchSpace(n, m), workers=2)
+
+
+def side(record: ExtremeRecord, top: bool) -> tuple:
+    """(value, count, sites) of the record's max if ``top``, else of its min."""
+    if top:
+        return record.max_value, record.max_count, record.max_sites
+    return record.min_value, record.min_count, record.min_sites
+
+
+def equality_set(n: int, ms) -> dict:
+    """Search the conjectured side (the max for odd n, the min for even n) at each m in
+    ``ms``, assert that its extreme never passes m*f(n), and return {m: record} at each m
+    where it equals m*f(n)."""
+    f, sign = f_value(n), 1 if n % 2 else -1
+    equal = {}
+    for m in ms:
+        record = search_once(n, m)
+        extreme = side(record, n % 2)[0]
+        # signed so that "never passes" reads extreme <= bound on both sides
+        assert sign * extreme <= sign * m * f, (n, m, extreme)
+        if extreme == m * f:
+            equal[m] = record
+    return equal
+
+
 def test_criterion_9_refined_conjecture():
     with criterion("9: refined conjecture exhaustive for n=4..10, m=2..16: the "
                    "conjectured-side extreme never passes m*f(n), and equals it "
                    "exactly on (2k+1) | m, or on <2k+1, 2k+3> for n = 4k+2"):
-        f = f_sequence(10)
         for n in range(4, 11):
             k = (n + 1) // 4
-            for m in range(2, 17):
-                record = extremes(SearchSpace(n, m))
-                bound = m * f[n - 2]
-                # signed so that "never passes" reads extreme <= bound on both sides
-                sign = 1 if n % 2 else -1
-                extreme = record.max_value if n % 2 else record.min_value
-                assert sign * extreme <= sign * bound, (n, m, extreme, bound)
-                if n % 4 == 2:
-                    tight = any((m - i * (2 * k + 1)) % (2 * k + 3) == 0
-                                for i in range(m // (2 * k + 1) + 1))
-                else:
-                    tight = m % (2 * k + 1) == 0
-                assert (extreme == bound) == tight, (n, m, extreme, bound)
+            if n % 4 == 2:
+                tight = [m for m in range(2, 17) if any((m - i * (2 * k + 1)) % (2 * k + 3) == 0
+                                                        for i in range(m // (2 * k + 1) + 1))]
+            else:
+                tight = [m for m in range(2, 17) if m % (2 * k + 1) == 0]
+            assert sorted(equality_set(n, range(2, 17))) == tight, n
 
 
 def hadamard_bound(order: int) -> int:
@@ -194,30 +217,15 @@ def hadamard_bound(order: int) -> int:
     return math.isqrt((order + 1) ** (order + 1) // 4 ** order)
 
 
-def certificate(n: int, workers: int = 2) -> dict:
-    """Search the conjectured side at every m <= H(n+1), assert that its extreme never
-    passes m*f(n), and return {m: record} at each m where it equals m*f(n).  Why these
-    searches bound the extreme at every m is in the ``conjecture`` module docstring."""
-    f, sign = f_value(n), 1 if n % 2 else -1
-    equal = {}
-    for m in range(1, hadamard_bound(n + 1) + 1):
-        record = extremes(SearchSpace(n, m), workers)
-        extreme = record.max_value if n % 2 else record.min_value
-        assert sign * extreme <= sign * m * f, (n, m, extreme)
-        if extreme == m * f:
-            equal[m] = record
-    return equal
-
-
 def assert_attained_at_two_constant_sites_alone(n: int, equal: dict) -> None:
-    """For n = 4k-1, 4k, 4k+1 and d = 2k+1: ``certificate(n)`` found equality exactly at
-    the multiples of d, each attained by the two predicted constant sites alone, and the
-    midpoint (1/2, ..., 1/2; 1/2) between their points does not attain f(n)."""
+    """For n = 4k-1, 4k, 4k+1 and d = 2k+1: ``equal``, the equality set of the searches at
+    every m <= H(n+1), is the multiples of d, each attained by the two predicted constant
+    sites alone, and the midpoint (1/2, ..., 1/2; 1/2) between their points does not
+    attain f(n)."""
     d = 2 * ((n + 1) // 4) + 1
     assert sorted(equal) == list(range(d, hadamard_bound(n + 1) + 1, d)), (n, sorted(equal))
     for m, record in equal.items():
-        count, sites = ((record.max_count, record.max_sites) if n % 2
-                        else (record.min_count, record.min_sites))
+        _, count, sites = side(record, n % 2)
         assert count == 2, (n, m, count)
         assert set(sites) == {(site.a, site.k) for site in predicted_extremes(n, m)}, (n, m)
     half = Fraction(1, 2)
@@ -228,15 +236,42 @@ def test_criterion_10_finite_certificate():
     with criterion("10: the conjectured side at every m from its searches at m <= H(n+1) "
                    "= 6, 14, 32 for n = 4, 5, 6: never passes m*f(n); equals it exactly on "
                    "3 | m, at the two constant sites alone, for n = 4, 5, and off "
-                   "m = 1, 2, 4, 7 for n = 6"):
+                   "m = 1, 2, 4, 7 for n = 6; for n = 4, 5 each search's value and count "
+                   "match an unpruned sweep of every multiset"):
         assert [hadamard_bound(n + 1) for n in range(4, 11)] == [6, 14, 32, 76, 195, 521, 1458]
+        # why the searches at m <= H(n+1) bound every m: the ``conjecture`` module docstring
+        for n in (4, 5, 6):
+            equal = equality_set(n, range(1, hadamard_bound(n + 1) + 1))
+            if n == 6:
+                assert sorted(equal) == [m for m in range(1, 33) if m not in (1, 2, 4, 7)]
+            else:
+                assert_attained_at_two_constant_sites_alone(n, equal)
         for n in (4, 5):
-            assert_attained_at_two_constant_sites_alone(n, certificate(n))
-        assert sorted(certificate(6)) == [m for m in range(1, 33) if m not in (1, 2, 4, 7)]
+            for m in range(1, hadamard_bound(n + 1) + 1):
+                values = [v for a in enumerate_multisets(n, m) for v in eval_closed_all_k(m, a)]
+                extreme = max(values) if n % 2 else min(values)
+                searched = side(search_once(n, m), n % 2)[:2]
+                assert (extreme, values.count(extreme)) == searched, (n, m)
+
+
+def test_criterion_11_proven_side_at_odd_m():
+    with criterion("11: the proven side at odd m >= 2*floor(n/4)+1 (n = 5..11, m <= 25) is "
+                   "+-(2^(n-2)*(m-1)/2 - c_n), attained at near-constant sites alone"):
+        for n in range(5, 12):
+            j = n // 2
+            c = ((2 * j - 1) * math.comb(2 * j - 2, j - 1) - 4 ** (j - 1)) // 2 * (1 + n % 2)
+            for m in range(2 * (n // 4) + 1, 26, 2):
+                value, count, sites = side(search_once(n, m), n % 2 == 0)
+                sharp = (1 << (n - 2)) * (m - 1) // 2 - c
+                assert value == (-sharp if n % 2 else sharp), (n, m, value)
+                hi, lo = (m + 1) // 2, (m - 1) // 2
+                witnesses = {((hi,) * i + (lo,) * (n - i), lo - 1 + t)
+                             for t in (0, 1) for i in ((n + 1) // 2 - t, n // 2 + 1 - t)}
+                assert count == len(sites) and set(sites) == witnesses, (n, m, sites)
 
 
 if __name__ == "__main__":
-    found = certificate(7)
+    found = equality_set(7, range(1, hadamard_bound(8) + 1))
     for m, record in found.items():
         print(f"m={m}: max {record.max_value} = m*f(7), attained at {record.max_count} site(s)")
     assert_attained_at_two_constant_sites_alone(7, found)

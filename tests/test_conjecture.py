@@ -100,23 +100,43 @@ def test_f_is_a_finite_sum_at_each_predicted_site_through_120():
                 assert site_sum(n, d, c) == eval_direct(Instance(d, (c,) * n, c - 1))
 
 
-def test_f_is_the_extremum_of_the_diagonal_over_its_breakpoints_through_64():
-    # phi_n(x) = Phi_n(x, ..., x; x) = sum_j (-1)^(n-j) C(n,j) g(j*x, x) is piecewise linear
-    # with breakpoints v/d, d <= n+1, and d*phi_n(v/d) is the integer S_d(v^n, v - 1), so
-    # L*phi_n(v/d) with L = lcm(1..n+1) puts every breakpoint over one denominator.  Its
-    # max (odd n) or min (even n) is f(n): checked, not proven.
-    def scaled(signs, d, v):  # d*phi_n(v/d), with signs[j] = (-1)^(n-j) C(n,j)
-        return sum(c * (j * v // d * v + max(0, j * v % d + v - d)) for j, c in enumerate(signs))
+def diagonal(signs: list[int], d: int, v: int) -> int:
+    """d*phi_n(v/d) = S_d(v^n, v - 1), with phi_n(x) = Phi_n(x, ..., x; x) =
+    sum_j (-1)^(n-j) C(n,j) g(j*x, x) and signs[j] = (-1)^(n-j) C(n,j): O(n) operations."""
+    return sum(c * (j * v // d * v + max(0, j * v % d + v - d)) for j, c in enumerate(signs))
 
+
+def test_f_is_the_extremum_of_the_diagonal_over_its_breakpoints_through_64():
+    # phi_n is piecewise linear with breakpoints v/d, d <= n+1, and d*phi_n(v/d) is an
+    # integer, so L*phi_n(v/d) with L = lcm(1..n+1) puts every breakpoint over one
+    # denominator.  Its max (odd n) or min (even n) is f(n): checked, not proven.
     for n, f in enumerate(f_sequence(64)[2:], start=4):
         signs = [(-1) ** (n - j) * comb(n, j) for j in range(n + 1)]
         lcm = math.lcm(*range(1, n + 2))
-        values = [lcm // d * scaled(signs, d, v) for d in range(1, n + 2) for v in range(d + 1)]
+        values = [lcm // d * diagonal(signs, d, v) for d in range(1, n + 2) for v in range(d + 1)]
         assert (max(values) if n % 2 else min(values)) == lcm * f, n
         if n <= 6:
             for d in range(2, n + 2):
                 for v in range(1, d):
-                    assert scaled(signs, d, v) == eval_direct(Instance(d, (v,) * n, v - 1))
+                    assert diagonal(signs, d, v) == eval_direct(Instance(d, (v,) * n, v - 1))
+
+
+def test_a_constant_site_attains_m_f_exactly_at_the_representations_of_m():
+    # S_m(v^n, v - 1) = m*f(n) exactly when v = (m -/+ (i+j))/2 for some
+    # m = i(2k+1) + j(2k+3), with j = 0 unless n = 4k+2.  The grid m <= 60 holds every
+    # breakpoint of phi_n (denominators <= n+1 <= 24) and a point inside each piece
+    # between two (their mediant, denominator <= 2n+2), so with the extremum above it
+    # settles the rule at every m for these n (the conjecture module docstring).
+    seq = f_sequence(23)
+    for n in range(4, 24):
+        k = (n + 1) // 4
+        d, e = 2 * k + 1, 2 * k + 3
+        signs = [(-1) ** (n - j) * comb(n, j) for j in range(n + 1)]
+        for m in range(2, 61):
+            js = range(m // e + 1) if n % 4 == 2 else [0]
+            sums = {(m - j * e) // d + j for j in js if (m - j * e) % d == 0}
+            attaining = {v for v in range(1, m) if diagonal(signs, m, v) == m * seq[n - 2]}
+            assert attaining == {(m + s * r) // 2 for r in sums for s in (-1, 1)}, (n, m)
 
 
 def test_f_sequence_rejects_small_n():

@@ -17,7 +17,6 @@ from floorsum import (
     Instance,
     InstanceTooLargeError,
     SearchSpace,
-    eval_closed,
     eval_direct,
     extremes,
     inner_term,
@@ -110,59 +109,35 @@ def test_extremes_known_values():
     assert (record.max_value, record.min_value) == (2, 0)
 
 
-def test_recorded_sites_reproduce_the_extremes():
-    record = extremes(SearchSpace(3, 9))
-    for a, k in record.max_sites:
-        assert eval_closed(Instance(9, a, k)) == record.max_value
-    for a, k in record.min_sites:
-        assert eval_closed(Instance(9, a, k)) == record.min_value
-    # spot audits against the definitional oracle
-    a, k = record.max_sites[0]
-    assert eval_direct(Instance(9, a, k)) == record.max_value
-    a, k = record.min_sites[-1]
-    assert eval_direct(Instance(9, a, k)) == record.min_value
-
-
-def test_terminal_k_contributes_only_zero():
-    for n in (2, 3, 4):
-        for m in (2, 5, 8):
-            record = extremes(SearchSpace(n, m, (m - 1, m - 1)))
-            assert record.max_value == record.min_value == 0
-
-
-def test_determinism_across_worker_counts(monkeypatch):
+def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
+    # every (n, m) with n <= 8 and at most 5000 cells (136 shapes), the full
+    # K range, one subrange and the terminal K alone; capped records are the
+    # reference's site lists cut to the cap, as both keep the first sites in
+    # enumeration order, and truncated exactly when the cap cut a list
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 71)
+              if math.comb(m + n - 1, n) * m <= 5000]
+    assert len(shapes) == 136
+    for n, m in shapes:
+        for k_range in {(0, m - 1), (m - 1, m - 1)} | ({(1, m - 2)} if m >= 3 else set()):
+            full = reference_extremes(SearchSpace(n, m, k_range))
+            for cap in (1, 2, DEFAULT_CAP):
+                space = SearchSpace(n, m, k_range, cap)
+                expected = full.replace(space=space, max_sites=full.max_sites[:cap],
+                                        min_sites=full.min_sites[:cap])
+                record = extremes(space)
+                assert record == expected, (n, m, k_range, cap)
+                assert record.truncated == (max(full.max_count, full.min_count) > cap), space
     # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
     # truncate site lists that span several tasks; these small spaces send
     # their tasks after the first to the pool only with the time limit at 0
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
               SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
-              SearchSpace(3, 8, (2, 5), cap=2)]
+              SearchSpace(3, 8, (2, 5), cap=2), SearchSpace(5, 6, cap=2),
+              SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)]
     for space in spaces:
         expected = reference_extremes(space)
         for w in (1, 2, 3):
-            assert extremes(space, workers=w) == expected, (space, w)
-
-
-def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
-    # every (n, m) with n <= 8 and at most 5000 cells (136 shapes), the full
-    # K range and one subrange; capped records are the reference's site
-    # lists cut to the cap, as both keep the first sites in enumeration order
-    shapes = [(n, m) for n in range(1, 9) for m in range(1, 71)
-              if math.comb(m + n - 1, n) * m <= 5000]
-    assert len(shapes) == 136
-    for n, m in shapes:
-        for k_range in [(0, m - 1)] + ([(1, m - 2)] if m >= 3 else []):
-            full = reference_extremes(SearchSpace(n, m, k_range))
-            for cap in (1, 2, DEFAULT_CAP):
-                space = SearchSpace(n, m, k_range, cap)
-                expected = full.replace(space=space, max_sites=full.max_sites[:cap],
-                                        min_sites=full.min_sites[:cap])
-                assert extremes(space) == expected, (n, m, k_range, cap)
-    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)  # so workers 2 and 3 start a pool
-    for space in (SearchSpace(5, 6, cap=2), SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)):
-        expected = reference_extremes(space)
-        for w in (2, 3):
             assert extremes(space, workers=w) == expected, (space, w)
 
 
@@ -209,32 +184,6 @@ def test_constant_seeds_sweep_once_per_space(monkeypatch):
         family = {a for a in enumerate_multisets(n, m) if a[0] - a[-1] <= 1}
         assert len(calls) == len(set(calls)) == n * (m - 1) + 1, (n, m)
         assert set(calls) == family, (n, m)
-
-
-def test_subset_expansion_bound_holds_for_every_completion():
-    # S_P over one period spans [lo, hi]; after r more elements every S value
-    # lies in [lo, hi] mapped r times by [lo, hi] -> [lo - 2*hi, hi - 2*lo], and
-    # in [-2^r (hi - lo), 2^r (hi - lo)], which for r >= 2 lies inside the
-    # iterated map; the search module docstring's B_r lies inside both
-    @functools.cache
-    def values(m, a):
-        return [eval_direct(Instance(m, a, k)) for k in range(m)]
-
-    pairs = 0
-    for m in range(1, 11):
-        for n in range(3, 6):
-            for a in enumerate_multisets(n, m):
-                for size in range(2, n):
-                    prefix = values(m, a[:size])
-                    lo, hi = min(prefix), max(prefix)
-                    width = (hi - lo) << (n - size)
-                    assert -width <= min(values(m, a)) and max(values(m, a)) <= width, (m, a, size)
-                    for _ in range(n - size):
-                        lo, hi = lo - 2 * hi, hi - 2 * lo
-                    assert lo <= min(values(m, a)) and max(values(m, a)) <= hi, (m, a, size)
-                    assert n - size == 1 or lo <= -width <= width <= hi, (m, a, size)
-                    pairs += 1
-    assert pairs == 19_734
 
 
 def test_child_bound_holds_for_every_completion():
@@ -385,18 +334,6 @@ def test_frontier_records_are_pinned(shape):
     assert eval_direct(Instance(shape[1], b, j)) == record.min_value
 
 
-def test_site_cap_truncates_but_keeps_counts():
-    space = SearchSpace(2, 6, cap=1)
-    record = extremes(space)
-    full = extremes(SearchSpace(2, 6))
-    assert (record.max_value, record.min_value) == (full.max_value, full.min_value)
-    assert record.max_count == full.max_count and record.min_count == full.min_count
-    assert len(record.min_sites) == 1 < record.min_count
-    assert record.truncated and not full.truncated
-    assert record.max_sites == full.max_sites[:1]
-    assert record.min_sites == full.min_sites[:1]
-
-
 def test_record_dict_roundtrip():
     record = extremes(SearchSpace(3, 6, (1, 4), cap=7))
     assert ExtremeRecord.from_dict(record.to_dict()) == record
@@ -435,10 +372,3 @@ def test_sequence_table_one_element():
     assert maxima == [m - 1 for m in range(1, 9)]
     assert minima == [0] * 8
 
-
-def test_extremes_k_subrange_respected():
-    record = extremes(SearchSpace(2, 10, (0, 3)))
-    assert all(0 <= k <= 3 for _, k in record.max_sites + record.min_sites)
-    full = extremes(SearchSpace(2, 10))
-    assert record.max_value <= full.max_value
-    assert record.min_value >= full.min_value
