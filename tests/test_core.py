@@ -159,6 +159,13 @@ def test_every_evaluator_rejects_a_bad_triple_as_instance_does(m, a, k, error):
 # ------------------------------------------------------------- properties
 
 
+def test_oracle_equivalence_exhaustive_small():
+    # invariant envelope: every bounded instance with n <= 4, m <= 12
+    for m, a, k in iter_bounded(n_max=4, m_max=12):
+        inst = Instance(m, a, k)
+        assert eval_closed(inst) == eval_direct(inst), (m, a, k)
+
+
 def _continuum_value(inst: Instance) -> Fraction:
     """m * Phi_n(A/m, (K+1)/m), the right-hand side of the continuum form."""
     x = tuple(Fraction(v, inst.m) for v in inst.a)

@@ -109,7 +109,29 @@ def test_extremes_known_values():
     assert (record.max_value, record.min_value) == (2, 0)
 
 
-def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
+def test_terminal_k_contributes_only_zero():
+    for n in (2, 3, 4):
+        for m in (2, 5, 8):
+            record = extremes(SearchSpace(n, m, (m - 1, m - 1)))
+            assert record.max_value == record.min_value == 0
+
+
+def test_determinism_across_worker_counts(monkeypatch):
+    # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
+    # truncate site lists that span several tasks; these small spaces send
+    # their tasks after the first to the pool only with the time limit at 0
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
+              SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
+              SearchSpace(3, 8, (2, 5), cap=2), SearchSpace(5, 6, cap=2),
+              SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)]
+    for space in spaces:
+        expected = reference_extremes(space)
+        for w in (1, 2, 3):
+            assert extremes(space, workers=w) == expected, (space, w)
+
+
+def test_pruned_walk_matches_the_oracle_on_a_wide_envelope():
     # every (n, m) with n <= 8 and at most 5000 cells (136 shapes), the full
     # K range, one subrange and the terminal K alone; capped records are the
     # reference's site lists cut to the cap, as both keep the first sites in
@@ -127,18 +149,6 @@ def test_pruned_walk_matches_the_oracle_on_a_wide_envelope(monkeypatch):
                 record = extremes(space)
                 assert record == expected, (n, m, k_range, cap)
                 assert record.truncated == (max(full.max_count, full.min_count) > cap), space
-    # n = 1 has an empty rest per task, m = 1 a single task; caps 1 and 2
-    # truncate site lists that span several tasks; these small spaces send
-    # their tasks after the first to the pool only with the time limit at 0
-    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
-    spaces = [SearchSpace(3, 7), SearchSpace(2, 9), SearchSpace(1, 6), SearchSpace(4, 1),
-              SearchSpace(3, 7, cap=1), SearchSpace(2, 9, cap=2), SearchSpace(1, 6, cap=2),
-              SearchSpace(3, 8, (2, 5), cap=2), SearchSpace(5, 6, cap=2),
-              SearchSpace(6, 5, (1, 3)), SearchSpace(8, 4, cap=1)]
-    for space in spaces:
-        expected = reference_extremes(space)
-        for w in (1, 2, 3):
-            assert extremes(space, workers=w) == expected, (space, w)
 
 
 @given(st.data())
@@ -332,6 +342,18 @@ def test_frontier_records_are_pinned(shape):
     (a, k), (b, j) = record.max_sites[0], record.min_sites[0]
     assert eval_direct(Instance(shape[1], a, k)) == record.max_value
     assert eval_direct(Instance(shape[1], b, j)) == record.min_value
+
+
+def test_site_cap_truncates_but_keeps_counts():
+    space = SearchSpace(2, 6, cap=1)
+    record = extremes(space)
+    full = extremes(SearchSpace(2, 6))
+    assert (record.max_value, record.min_value) == (full.max_value, full.min_value)
+    assert record.max_count == full.max_count and record.min_count == full.min_count
+    assert len(record.min_sites) == 1 < record.min_count
+    assert record.truncated and not full.truncated
+    assert record.max_sites == full.max_sites[:1]
+    assert record.min_sites == full.min_sites[:1]
 
 
 def test_record_dict_roundtrip():

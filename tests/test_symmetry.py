@@ -141,25 +141,19 @@ def test_box_raises_when_its_deltas_disagree_with_the_direct_difference(monkeypa
     assert str(caught.value) == "box(6, 5, 2, 2, 2): direct -2 != decomposition -3"
 
 
-def test_box_decomposition_exhaustive():
-    # box() itself raises if the two routes disagree; sweep the proven domain.
-    # The six case-B predicates are (wraps, not tail) of the three deltas box
-    # decomposes into, and the +1 configuration is their case ids (3, 1|4, 1|4).
-    cells = 0
-    for m in range(1, 16):
-        for a1, a2, a3 in product(range(m), repeat=3):
-            for k in legal_delta_k(m):
-                report = case_b_conditions(m, a1, a2, a3, k)
-                components = box(m, a1, a2, a3, k).components
-                where = (m, a1, a2, a3, k)
-                assert (report.c1a, report.c1b, report.c2a, report.c2b, report.c3a,
-                        report.c3b) == tuple(v for d in components
-                                             for v in (d.cond_sum, not d.cond_tail)), where
-                first, second, third = (d.case_id for d in components)
-                assert report.plus_one_config == (
-                    first == 3 and second in (1, 4) and third in (1, 4)), where
-                cells += 1
-    assert cells == 70_693
+@pytest.fixture(scope="module")
+def box_sweep():
+    # box() on every cell of the proven domain with m <= 15, walked once for the
+    # two tests below: each cell with its components' (wraps, tail, case id)
+    return [((m, a1, a2, a3, k), tuple((d.cond_sum, d.cond_tail, d.case_id)
+                                       for d in box(m, a1, a2, a3, k).components))
+            for m in range(1, 16) for a1, a2, a3 in product(range(m), repeat=3)
+            for k in legal_delta_k(m)]
+
+
+def test_box_decomposition_exhaustive(box_sweep):
+    # box() itself raises if the two routes disagree
+    assert len(box_sweep) == 70_693
 
 
 def test_box_case_a_upper_bound():
@@ -204,3 +198,15 @@ def test_case_b_conditions_gate_the_plus_one_value():
                         hits += value == 1
     assert hits > 0
 
+
+def test_case_b_conditions_are_the_cases_of_the_box_components(box_sweep):
+    # the six predicates are (wraps, not tail) of the three deltas box
+    # decomposes into, and the +1 configuration is their case ids (3, 1|4, 1|4)
+    for where, components in box_sweep:
+        report = case_b_conditions(*where)
+        assert (report.c1a, report.c1b, report.c2a, report.c2b, report.c3a,
+                report.c3b) == tuple(v for wraps, tail, _ in components
+                                     for v in (wraps, not tail)), where
+        first, second, third = (case_id for _, _, case_id in components)
+        assert report.plus_one_config == (
+            first == 3 and second in (1, 4) and third in (1, 4)), where
