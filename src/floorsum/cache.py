@@ -8,6 +8,22 @@ is read, and the search reruns; a cached hit is indistinguishable in content
 from a fresh computation.  ``put`` refuses a record for another space before
 writing it.  The file is read once per ``ResultCache`` and lookups are
 answered from memory, indexed by each record's space.
+
+Two paths read a line, and they discard the same lines.  ``_CANONICAL``
+describes the exact line ``put`` writes: ``json.dumps`` of the key and the
+record with sorted keys, every int of 1 to 18 digits with no leading zero,
+site entries and counts without a sign, and backreferences tying the
+record's cap, k_range, m and n to the key's.  A full match is valid JSON
+(an ASCII object of sorted string keys, ints, lists and ``true`` or
+``false``), and its ints read back as the digits the pattern captured.  So
+``from_dict`` gets every field it reads, each a plain int or a list of the
+shapes it unpacks, and builds the record unless ``SearchSpace`` refuses the
+space; the record's space is the key's, so ``_check`` accepts it.  A line
+that matches is therefore indexed as raw bytes once ``SearchSpace`` accepts
+its captured key, and parsed only when ``get`` first serves it.  Every other
+line, a refused key's included, is parsed and checked at load as before,
+and warns there if it is discarded: the same lines, messages, order and
+moment whichever path a line takes.
 """
 
 from __future__ import annotations
@@ -18,6 +34,22 @@ import warnings
 
 from .exceptions import DomainError, _at_least
 from .search import ExtremeRecord, SearchSpace, extremes
+
+
+# put's line, as a bytes pattern; compiled by _load, so a query without --cache never pays
+# for it.  _NAT is how json.dumps writes an int >= 0 of at most 18 digits; _INT may be negative.
+_NAT = rb"(?:0|[1-9][0-9]{0,17})"
+_INT = rb"(?:0|-?[1-9][0-9]{0,17})"
+_SITE = rb"\[\[%s(?:, %s)*\], %s\]" % (_NAT, _NAT, _NAT)
+_SITES = rb"\[(?:%s(?:, %s)*)?\]" % (_SITE, _SITE)
+_CANONICAL = (
+    rb'\{"key": \{"cap": (?P<cap>%(nat)s), "k_hi": (?P<k_hi>%(nat)s), '
+    rb'"k_lo": (?P<k_lo>%(nat)s), "m": (?P<m>%(nat)s), "n": (?P<n>%(nat)s)\}, '
+    rb'"record": \{"cap": (?P=cap), "k_range": \[(?P=k_lo), (?P=k_hi)\], "m": (?P=m), '
+    rb'"max_count": %(nat)s, "max_sites": %(sites)s, "max_value": %(int)s, '
+    rb'"min_count": %(nat)s, "min_sites": %(sites)s, "min_value": %(int)s, '
+    rb'"n": (?P=n), "truncated": (?:true|false)\}\}\n'
+    % {b"nat": _NAT, b"int": _INT, b"sites": _SITES})
 
 
 class CacheWarning(UserWarning):
@@ -41,7 +73,11 @@ class ResultCache:
     The first ``get`` opens the file for append, creating it and its
     parents as ``put`` does, so an unusable path raises ``OSError`` before
     any search; it reads and checks the file then, once, warning once for
-    each discarded line.  Every lookup is answered from an in-memory index.
+    each discarded line.  A line in ``put``'s exact form is checked there by
+    one pattern and parsed the first time ``get`` serves it, so a hit costs
+    the lines served, not the file; any other line is parsed and checked at
+    load (the module docstring says why both discard the same lines).
+    Every lookup is answered from an in-memory index.
     Lines another process appends after that first ``get`` are not seen by
     this instance: those spaces are recomputed, never served wrong.
     """
@@ -49,22 +85,38 @@ class ResultCache:
     def __init__(self, path: str | Path):
         from pathlib import Path  # here, so a query without --cache never loads it
         self.path = Path(path)
-        self._index: dict[SearchSpace, ExtremeRecord] | None = None  # loaded by the first get
+        self._index: dict[SearchSpace, ExtremeRecord | bytes] | None = None  # by the first get
 
     def get(self, space: SearchSpace) -> ExtremeRecord | None:
         """Latest stored record for this space, or None on a miss."""
         if self._index is None:
             self._load()
-        return self._index.get(space)
+        record = self._index.get(space)
+        if type(record) is bytes:  # a line in put's exact form, parsed when first served
+            import json
+            record = self._index[space] = ExtremeRecord.from_dict(json.loads(record)["record"])
+        return record
 
     def _load(self) -> None:
         import json
+        import re
+        canonical = re.compile(_CANONICAL)
         index = {}  # kept once the whole file is read: a warning raised as an error reloads
         # Append mode, as put uses, so an unusable path fails before a search.
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a+b") as handle:  # lines end at b"\n"; a "\r" is JSON whitespace
             handle.seek(0)
             for lineno, line in enumerate(handle, 1):
+                match = canonical.fullmatch(line)
+                if match:
+                    n, m, k_lo, k_hi, cap = map(int, match.group("n", "m", "k_lo", "k_hi", "cap"))
+                    try:
+                        space = SearchSpace(n, m, (k_lo, k_hi), cap)
+                    except (ValueError, OverflowError):
+                        pass  # a refused key: the full parse below warns as it always has
+                    else:
+                        index[space] = line  # valid, by the module docstring's argument
+                        continue
                 try:  # json.loads raises RecursionError on deeply nested brackets
                     text = line.decode("utf-8")  # a byte that is not UTF-8 faults its own line
                     if not text.strip():

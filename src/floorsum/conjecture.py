@@ -108,6 +108,23 @@ Acceptance criterion 11 checks this for n = 5..11 at every odd m from that
 onset to 25; below the onset (m = 3 for n = 8..11) the value differs.
 ``known_bounds`` still reports the bound +-2^(n-2)*floor(m/2).
 
+Periodic offsets (checked, not proven).  For n = 4, 5, 7, 8, 9, with
+d = 2k+1, the conjectured-side extreme is E(n, m) = m*f(n) + delta_n(m),
+where delta_n depends on m mod d alone from some m0(n) on:
+
+    n = 4, m0 = 2:   delta = 0, 2, 2                  (m mod d = 0, 1, ...)
+    n = 5, m0 = 3:   delta = 0, -4, -3
+    n = 7, m0 = 5:   delta = 0, -12, -10, -6, -12
+    n = 8, m0 = 5:   delta = 0, 36, 28, 28, 36
+    n = 9, m0 = 10:  delta = 0, -62, -35, -56, -56
+
+From m = max(m0, 3) on, the attaining sites lift: for each site (a, K) at m,
+(a + c, K + c), with c = k or k+1 added to every element, attains at m + d;
+and the attaining count depends on m mod d alone.  n = 4 at m = 2 is the
+exception: its offset is already periodic there, but it has 9 sites against
+8 at every later m = 2 (mod 3), and 6 of them do not lift.  Acceptance
+criterion 12 checks all of this at every m <= 16.
+
 Everything here is exact: f(n) is kept as a Fraction end to end, and
 verification compares search results with predictions by integer or
 rational equality, never by tolerance.

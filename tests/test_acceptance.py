@@ -270,6 +270,33 @@ def test_criterion_11_proven_side_at_odd_m():
                 assert count == len(sites) and set(sites) == witnesses, (n, m, sites)
 
 
+# n: (m0, the offset E(n, m) - m*f(n) at each m >= m0, by m mod (2k+1) = 0, 1, ...)
+PERIODIC_OFFSETS = {4: (2, (0, 2, 2)), 5: (3, (0, -4, -3)), 7: (5, (0, -12, -10, -6, -12)),
+                    8: (5, (0, 36, 28, 28, 36)), 9: (10, (0, -62, -35, -56, -56))}
+
+
+def test_criterion_12_periodic_offsets():
+    with criterion("12: for n = 4, 5, 7, 8, 9 and m0 <= m <= 16 the conjectured side is m*f(n) "
+                   "plus an offset periodic in m with period d = 2k+1; from m = max(m0, 3) each "
+                   "attaining site, shifted by k or k+1, attains at m + d, and the attaining "
+                   "count is constant on each residue class"):
+        for n, (m0, offsets) in PERIODIC_OFFSETS.items():
+            k = (n + 1) // 4
+            d, f = 2 * k + 1, f_value(n)
+            for m in range(m0, 17):
+                value, count, sites = side(search_once(n, m), n % 2)
+                assert value - m * f == offsets[m % d], (n, m, value)
+                if m < 3 or m + d > 16:
+                    continue
+                _, lifted_count, lifted = side(search_once(n, m + d), n % 2)
+                assert count == len(sites) == lifted_count, (n, m)
+                for a, K in sites:
+                    assert any((tuple(v + c for v in a), K + c) in lifted for c in (k, k + 1)), \
+                        (n, m, a, K)
+        # why the lift starts at m = 3 for n = 4: 9 sites at m = 2, 8 at every later m = 2 (mod 3)
+        assert side(search_once(4, 2), False)[1] == 9
+
+
 if __name__ == "__main__":
     found = equality_set(7, range(1, hadamard_bound(8) + 1))
     for m, record in found.items():

@@ -1,17 +1,22 @@
 """CLI and cache tests, the CLI run in process through ``helpers.invoke`` unless a test
 needs a fresh process."""
 
+import functools
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorsum import (
     CacheWarning,
@@ -25,6 +30,7 @@ from floorsum import (
     f_sequence,
     sequence_table,
 )
+import floorsum.cache
 import floorsum.cli
 import floorsum.symmetry
 from floorsum.cli import RunConfig, run
@@ -397,6 +403,8 @@ def test_cache_line_bytes_are_pinned(tmp_path):
     written = tmp_path / "written.jsonl"
     ResultCache(written).put(space, extremes(space))
     assert written.read_bytes() == CACHE_LINE
+    # put's lines take the load's pattern path, not the full parse
+    assert re.fullmatch(floorsum.cache._CANONICAL, CACHE_LINE)
     stored = tmp_path / "stored.jsonl"
     stored.write_bytes(CACHE_LINE)
     assert ResultCache(stored).get(space) == extremes(space)
@@ -533,12 +541,19 @@ def test_cache_file_is_parsed_once_per_instance(monkeypatch, tmp_path):
     def no_search(*args, **kwargs):
         raise AssertionError("every m must be served from the file")
 
-    loads = json.loads
-    parsed = []
+    path_open, loads = Path.open, json.loads
+    opened, parsed = [], []
     monkeypatch.setattr("floorsum.cache.extremes", no_search)
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs:
+                        opened.append(self) or path_open(self, *args, **kwargs))
     monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
-    assert sequence_table(3, 8, cache=ResultCache(path)) == expected
-    assert len(parsed) == 8  # the file's lines, not m_max times them
+    cache = ResultCache(path)
+    assert sequence_table(3, 8, cache=cache) == expected
+    assert opened == [path]  # one read for the table, not one per m
+    assert len(parsed) == 8  # each line served once
+    # served again from memory: no read, and no line parsed a second time
+    assert sequence_table(3, 8, cache=cache) == expected
+    assert opened == [path] and len(parsed) == 8
 
 
 def test_cache_warning_raised_as_an_error_loads_nothing(tmp_path):
@@ -586,6 +601,127 @@ def test_cache_skips_blank_lines_without_a_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ResultCache(path).get(space) == extremes(space)
+
+
+# Spaces whose lines hold zeros, negatives, several sites and a truncated list.
+FUZZ_SPACES = (SearchSpace(1, 1), SearchSpace(2, 5), SearchSpace(3, 6, (1, 4), cap=2),
+               SearchSpace(3, 7, cap=1))
+
+
+@functools.cache
+def put_lines() -> tuple[bytes, ...]:
+    """The line ``put`` writes for each of FUZZ_SPACES' records."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "cache.jsonl")
+        for space in FUZZ_SPACES:
+            ResultCache(path).put(space, extremes(space))
+        return tuple(path.read_bytes().splitlines(keepends=True))
+
+
+def _int_at(draw, line):
+    """The (start, end) of an int in ``line``, or (0, 0) if it holds none."""
+    return draw(st.sampled_from([m.span() for m in re.finditer(rb"-?[0-9]+", line)] or [(0, 0)]))
+
+
+def _digit_deleted(draw, line):
+    lo, hi = _int_at(draw, line)
+    i = draw(st.integers(lo, max(lo, hi - 1)))
+    return line[:i] + line[i + 1:]
+
+
+def _digit_inserted(draw, line):
+    lo, hi = _int_at(draw, line)
+    i = draw(st.integers(lo, hi))
+    return line[:i] + b"%d" % draw(st.integers(0, 9)) + line[i:]
+
+
+def _leading_zero(draw, line):
+    lo, _ = _int_at(draw, line)
+    lo += line[lo:lo + 1] == b"-"
+    return line[:lo] + b"0" + line[lo:]
+
+
+def _int_replaced(draw, line):
+    lo, hi = _int_at(draw, line)
+    text = draw(st.sampled_from([b"-0", b"true", b"%d" % draw(st.integers(10**18, 10**19 - 1))]))
+    return line[:lo] + text + line[hi:]
+
+
+def _key_field_moved(draw, line):
+    # a key field alone: the record's space disagrees with its key
+    spans = [m.span() for m in re.finditer(rb"[0-9]+", line[:line.find(b'"record"')])]
+    lo, hi = draw(st.sampled_from(spans or [(0, 0)]))
+    return line[:lo] + b"%d" % (int(line[lo:hi] or 0) + 1) + line[hi:]
+
+
+def _space_moved(draw, line):
+    # a field in key and record alike, to values SearchSpace accepts or refuses
+    try:
+        entry = json.loads(line)
+        field = draw(st.sampled_from(["n", "m", "cap", "k_range"]))
+        value = draw(st.sampled_from([0, 1, 3, 70]))
+        entry["record"][field] = [value, 0] if field == "k_range" else value
+        entry["key"].update({"k_lo": value, "k_hi": 0} if field == "k_range" else {field: value})
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return line
+    return json.dumps(entry, sort_keys=True).encode() + b"\n"
+
+
+def _crlf(draw, line):
+    return line.rstrip(b"\n") + b"\r\n"
+
+
+def _not_utf8(draw, line):
+    i = draw(st.integers(0, len(line)))
+    return line[:i] + b"\xff" + line[i:]
+
+
+def _truncated(draw, line):
+    return line[:draw(st.integers(0, max(0, len(line) - 2)))] + b"\n"
+
+
+LINE_EDITS = [_digit_deleted, _digit_inserted, _leading_zero, _int_replaced, _key_field_moved,
+              _space_moved, _crlf, _not_utf8, _truncated]
+
+
+@st.composite
+def edited_cache_files(draw):
+    """Lines ``put`` wrote for FUZZ_SPACES, in any order and number, each edited 0-2 times."""
+    lines = []
+    for line in draw(st.lists(st.sampled_from(put_lines()), min_size=1, max_size=4)):
+        for edit in draw(st.lists(st.sampled_from(LINE_EDITS), max_size=2)):
+            line = edit(draw, line)
+        lines.append(line)
+    return b"".join(lines)
+
+
+def load_everything(path, spaces):
+    """Warning texts of the first get, in order, and the record served for each space."""
+    cache = ResultCache(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        served = [cache.get(space) for space in spaces]
+    return [str(w.message) for w in caught], served
+
+
+@given(edited_cache_files())
+@settings(max_examples=300, deadline=None)
+def test_pattern_and_full_parse_load_the_same_records_and_warnings(data):
+    spaces = set(FUZZ_SPACES)
+    for line in data.splitlines():  # and any space an edit moved a line to
+        try:
+            key = json.loads(line)["key"]
+            spaces.add(SearchSpace(key["n"], key["m"], (key["k_lo"], key["k_hi"]), key["cap"]))
+        except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
+            pass
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "cache.jsonl")
+        path.write_bytes(data)
+        shipped = load_everything(path, spaces)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(floorsum.cache, "_CANONICAL", rb"(?!)")  # every line fully parsed
+            parsed = load_everything(path, spaces)
+    assert shipped == parsed
 
 
 def test_cached_extremes_serves_stored_records(tmp_path):
@@ -664,7 +800,7 @@ def test_a_table_of_quick_searches_starts_no_pool(monkeypatch):
 # of the help and error paths, the dataclass machinery (and the inspect it
 # imports), and those that only f(n), JSON, CSV or annotations use.
 UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib", "dataclasses", "inspect",
-                      "fractions", "decimal", "json", "csv", "typing"]
+                      "fractions", "decimal", "json", "csv", "typing", "re", "pathlib"]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
