@@ -1,29 +1,27 @@
 """Append-only result cache for long searches, and the tables built on it.
 
-One JSON record per line, keyed by (n, m, k_range, cap).  A line that does
-not decode or parse, that ``ExtremeRecord.from_dict`` refuses (a field that
-is not a plain int, or a space that ``SearchSpace`` refuses), or whose
-record's space is not its key, is discarded with one warning when the file
-is read, and the search reruns; a cached hit is indistinguishable in content
-from a fresh computation.  ``put`` refuses a record for another space before
-writing it.  The file is read once per ``ResultCache`` and lookups are
-answered from memory, indexed by each record's space.
+One JSON record per line, keyed by (n, m, k_range, cap).  A line is kept only
+if it is exactly a line that ``put`` writes and ``SearchSpace`` accepts its
+key; every other line that is not blank is discarded with one warning when
+the file is read, and the search reruns.  So a cached hit is
+indistinguishable in content from a fresh computation.  The file is read
+once per ``ResultCache`` and lookups are answered from memory, indexed by
+each record's space.
 
-Two paths read a line, and they discard the same lines.  ``_CANONICAL``
-describes the exact line ``put`` writes: ``json.dumps`` of the key and the
-record with sorted keys, every int of 1 to 18 digits with no leading zero,
-site entries and counts without a sign, and backreferences tying the
-record's cap, k_range, m and n to the key's.  A full match is valid JSON
-(an ASCII object of sorted string keys, ints, lists and ``true`` or
-``false``), and its ints read back as the digits the pattern captured.  So
-``from_dict`` gets every field it reads, each a plain int or a list of the
-shapes it unpacks, and builds the record unless ``SearchSpace`` refuses the
-space; the record's space is the key's, so ``_check`` accepts it.  A line
-that matches is therefore indexed as raw bytes once ``SearchSpace`` accepts
-its captured key, and parsed only when ``get`` first serves it.  Every other
-line, a refused key's included, is parsed and checked at load as before,
-and warns there if it is discarded: the same lines, messages, order and
-moment whichever path a line takes.
+``_CANONICAL`` describes the exact line ``put`` writes: ``json.dumps`` of the
+key and the record with sorted keys, every int of 1 to 19 digits with no
+leading zero, site entries and counts without a sign, and backreferences
+tying the record's cap, k_range, m and n to the key's; its end may be CRLF,
+as a "\\r" is JSON whitespace.  A full match is valid JSON (an ASCII object of
+sorted string keys, ints, lists and ``true`` or ``false``), and its ints read
+back as the digits the pattern captured.  So ``from_dict`` gets every field
+it reads, each a plain int or a list of the shapes it unpacks, and builds
+the record unless ``SearchSpace`` refuses the space, whose fields are the
+captured key's.  A line that matches is therefore indexed as raw bytes once
+``SearchSpace`` accepts its captured key, and parsed only when ``get`` first
+serves it.  ``put`` refuses a record for another space, and one whose line
+the pattern would not keep, before writing anything, so every line it
+writes is kept.
 """
 
 from __future__ import annotations
@@ -36,10 +34,11 @@ from .exceptions import DomainError, _at_least
 from .search import ExtremeRecord, SearchSpace, extremes
 
 
-# put's line, as a bytes pattern; compiled by _load, so a query without --cache never pays
-# for it.  _NAT is how json.dumps writes an int >= 0 of at most 18 digits; _INT may be negative.
-_NAT = rb"(?:0|[1-9][0-9]{0,17})"
-_INT = rb"(?:0|-?[1-9][0-9]{0,17})"
+# put's line, as a bytes pattern; compiled by the first get or put, so a query without
+# --cache never pays for it.  _NAT is how json.dumps writes an int >= 0 of at most 19
+# digits, which covers every int below 2**63; _INT may be negative.
+_NAT = rb"(?:0|[1-9][0-9]{0,18})"
+_INT = rb"(?:0|-?[1-9][0-9]{0,18})"
 _SITE = rb"\[\[%s(?:, %s)*\], %s\]" % (_NAT, _NAT, _NAT)
 _SITES = rb"\[(?:%s(?:, %s)*)?\]" % (_SITE, _SITE)
 _CANONICAL = (
@@ -48,12 +47,12 @@ _CANONICAL = (
     rb'"record": \{"cap": (?P=cap), "k_range": \[(?P=k_lo), (?P=k_hi)\], "m": (?P=m), '
     rb'"max_count": %(nat)s, "max_sites": %(sites)s, "max_value": %(int)s, '
     rb'"min_count": %(nat)s, "min_sites": %(sites)s, "min_value": %(int)s, '
-    rb'"n": (?P=n), "truncated": (?:true|false)\}\}\n'
+    rb'"n": (?P=n), "truncated": (?:true|false)\}\}\r?\n'
     % {b"nat": _NAT, b"int": _INT, b"sites": _SITES})
 
 
 class CacheWarning(UserWarning):
-    """A cache entry was unreadable, invalid or stored under another key; it has been ignored."""
+    """A cache line was not one that ``put`` writes, or its key was refused; it has been ignored."""
 
 
 def _key(space: SearchSpace) -> dict:
@@ -61,25 +60,18 @@ def _key(space: SearchSpace) -> dict:
     return {"n": space.n, "m": space.m, "k_lo": k_lo, "k_hi": k_hi, "cap": space.cap}
 
 
-def _check(record: ExtremeRecord, key: dict) -> None:
-    """Raise DomainError unless ``record``'s space has the key ``key``."""
-    if _key(record.space) != key:
-        raise DomainError(f"record for {_key(record.space)} stored under {key}")
-
-
 class ResultCache:
     """Single-writer JSON-lines store of search results.
 
     The first ``get`` opens the file for append, creating it and its
     parents as ``put`` does, so an unusable path raises ``OSError`` before
-    any search; it reads and checks the file then, once, warning once for
-    each discarded line.  A line in ``put``'s exact form is checked there by
-    one pattern and parsed the first time ``get`` serves it, so a hit costs
-    the lines served, not the file; any other line is parsed and checked at
-    load (the module docstring says why both discard the same lines).
-    Every lookup is answered from an in-memory index.
-    Lines another process appends after that first ``get`` are not seen by
-    this instance: those spaces are recomputed, never served wrong.
+    any search; it reads the file then, once, keeping each line in ``put``'s
+    exact form as raw bytes and warning once for each other line that is
+    not blank.  A kept line is parsed the first time ``get`` serves it, so a
+    hit costs the lines served, not the file.  Every lookup is answered from
+    an in-memory index.  Lines another process appends after that first
+    ``get`` are not seen by this instance: those spaces are recomputed,
+    never served wrong.
     """
 
     def __init__(self, path: str | Path):
@@ -98,49 +90,42 @@ class ResultCache:
         return record
 
     def _load(self) -> None:
-        import json
         import re
         canonical = re.compile(_CANONICAL)
         index = {}  # kept once the whole file is read: a warning raised as an error reloads
         # Append mode, as put uses, so an unusable path fails before a search.
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+b") as handle:  # lines end at b"\n"; a "\r" is JSON whitespace
+        with self.path.open("a+b") as handle:
             handle.seek(0)
-            for lineno, line in enumerate(handle, 1):
+            for lineno, line in enumerate(handle, 1):  # lines end at b"\n"
+                if line.isspace():
+                    continue
                 match = canonical.fullmatch(line)
-                if match:
+                try:
+                    if match is None:
+                        raise ValueError("not a line that put writes")
                     n, m, k_lo, k_hi, cap = map(int, match.group("n", "m", "k_lo", "k_hi", "cap"))
-                    try:
-                        space = SearchSpace(n, m, (k_lo, k_hi), cap)
-                    except (ValueError, OverflowError):
-                        pass  # a refused key: the full parse below warns as it always has
-                    else:
-                        index[space] = line  # valid, by the module docstring's argument
-                        continue
-                try:  # json.loads raises RecursionError on deeply nested brackets
-                    text = line.decode("utf-8")  # a byte that is not UTF-8 faults its own line
-                    if not text.strip():
-                        continue
-                    entry = json.loads(text)
-                    record = ExtremeRecord.from_dict(entry["record"])
-                    _check(record, entry["key"])
-                except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
+                    index[SearchSpace(n, m, (k_lo, k_hi), cap)] = line
+                except (ValueError, OverflowError) as exc:
                     warnings.warn(f"discarding corrupt cache entry at {self.path}:{lineno}: {exc}",
                                   CacheWarning, stacklevel=3)  # get's caller
-                    continue
-                index[record.space] = record
         self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
-        """Append ``record`` under ``space``'s key.  A record for another space
-        raises DomainError, and nothing is written."""
+        """Append ``record`` under ``space``'s key.  A record for another space,
+        or one whose line the load would not keep (such as a number past 19 digits,
+        or a negative site entry or count), raises DomainError, and nothing is written."""
         import json
+        import re
         key = _key(space)
-        _check(record, key)
+        if _key(record.space) != key:
+            raise DomainError(f"record for {_key(record.space)} stored under {key}")
+        line = json.dumps({"key": key, "record": record.to_dict()}, sort_keys=True) + "\n"
+        if not re.fullmatch(_CANONICAL, line.encode()):
+            raise DomainError(f"record for {key} does not fit a cache line")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key, "record": record.to_dict()}
         with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.write(line)
         if self._index is not None:
             self._index[space] = record
 

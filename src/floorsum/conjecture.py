@@ -64,6 +64,13 @@ and 7.  Every other m lies in <3, 5>, where a constant site reaches -3m by
 the "if" half of the constant-site rule below.  So E(6, m) = -3m exactly
 when m is not 1, 2, 4 or 7.
 
+The same argument bounds the proven side E_p (the max for even n, the min
+for odd n), as the vertices bound both the max and the min of Phi_n.  For
+n = 4..7 the largest |E_p(n, D)|/D over D <= H(n+1) is 2^(n-3), reached at
+exactly the even D (the same searches).  So |E_p(n, m)| <= 2^(n-3)*m at
+every m, odd m included; at even m that is the paper's bound
+2^(n-2)*floor(m/2), reached there (computer-assisted, as above).
+
 Constant sites.  On the diagonal, S_m(v^n, v - 1) = m*phi_n(v/m), with
 phi_n(x) = Phi_n(x, ..., x; x) = sum_j (-1)^(n-j) C(n,j) g(j*x, x) and g as
 in ``core.py``.  phi_n is continuous and piecewise linear; its breakpoints
@@ -105,7 +112,10 @@ so the bound is not reached, with
 ((m+1)/2)^i ((m-1)/2)^(n-i) with K = (m-3)/2 + t, for t in {0, 1} and
 i + t in {ceil(n/2), floor(n/2) + 1}: two sites for odd n, four for even n.
 Acceptance criterion 11 checks this for n = 5..11 at every odd m from that
-onset to 25; below the onset (m = 3 for n = 8..11) the value differs.
+onset to 25; below the onset (m = 3 for n = 8..11) the value differs.  The
+tests also evaluate those sites for n = 5..12 at every odd m from the onset
+to 151 and find the value at each: attainment, checked far past the
+searches, not proven.
 ``known_bounds`` still reports the bound +-2^(n-2)*floor(m/2).
 
 Periodic offsets (checked, not proven).  For n = 4, 5, 7, 8, 9, with

@@ -52,8 +52,8 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, combinations_with_replacement, islice
 from operator import sub
 
-from .core import _check_width, _plain_ints, _Record, eval_closed_all_k
-from .exceptions import DomainError, _at_least, _shown
+from .core import _I64_MAX, _check_width, _plain_ints, _Record, eval_closed_all_k
+from .exceptions import DomainError, InstanceTooLargeError, _at_least, _shown
 
 Site = tuple[tuple[int, ...], int]
 
@@ -67,7 +67,8 @@ _POOL_AFTER_S = 0.2
 
 class SearchSpace(_Record):
     """Search parameters, plain ints: arity, modulus, K subrange and site cap.  A space
-    whose widest cell overflows 64 bits raises ``InstanceTooLargeError`` on construction."""
+    whose widest cell overflows 64 bits, or whose cap passes 2**63 - 1, raises
+    ``InstanceTooLargeError`` on construction."""
 
     __slots__ = ("n", "m", "k_range", "cap")
 
@@ -79,6 +80,8 @@ class SearchSpace(_Record):
         _at_least("arity", n, 1)
         _at_least("modulus", m, 1)
         _at_least("site cap", cap, 1)
+        if cap > _I64_MAX:
+            raise InstanceTooLargeError(f"cap={_shown(cap)} exceeds 64-bit range")
         lo, hi = k_range
         if not 0 <= lo <= hi <= m - 1:
             raise DomainError(f"k_range must satisfy 0 <= lo <= hi <= {_shown(m - 1)}, "

@@ -6,7 +6,7 @@ see them.  This module is slower than the unit tests (roughly a minute
 in total) because the envelopes are part of the contract.
 
 Run as a script, it runs criterion 10's finite certificate at n = 7, every
-m <= H(8) = 76 (about a minute at two workers):
+m <= H(8) = 76, for both sides (about a minute at two workers):
 
     PYTHONPATH=src python tests/test_acceptance.py
 """
@@ -232,12 +232,24 @@ def assert_attained_at_two_constant_sites_alone(n: int, equal: dict) -> None:
     assert continuum_phi((half,) * n, half) != f_value(n)
 
 
+def assert_proven_side_bounded_at_every_m(n: int) -> None:
+    """For the proven side E_p (the max for even n, the min for odd n): the largest
+    |E_p(n, D)|/D over D <= H(n+1) is 2^(n-3), reached at exactly the even D.  By the
+    certificate's argument, which holds for either side, |E_p(n, m)| <= 2^(n-3)*m at every m."""
+    top, bound = hadamard_bound(n + 1), 1 << (n - 3)
+    ratios = {m: Fraction(abs(side(search_once(n, m), n % 2 == 0)[0]), m)
+              for m in range(1, top + 1)}
+    assert max(ratios.values()) == bound, (n, max(ratios.values()))
+    assert [m for m, ratio in ratios.items() if ratio == bound] == list(range(2, top + 1, 2))
+
+
 def test_criterion_10_finite_certificate():
     with criterion("10: the conjectured side at every m from its searches at m <= H(n+1) "
                    "= 6, 14, 32 for n = 4, 5, 6: never passes m*f(n); equals it exactly on "
                    "3 | m, at the two constant sites alone, for n = 4, 5, and off "
                    "m = 1, 2, 4, 7 for n = 6; for n = 4, 5 each search's value and count "
-                   "match an unpruned sweep of every multiset"):
+                   "match an unpruned sweep of every multiset; and the proven side never "
+                   "passes 2^(n-3)*m, reached at exactly the even m"):
         assert [hadamard_bound(n + 1) for n in range(4, 11)] == [6, 14, 32, 76, 195, 521, 1458]
         # why the searches at m <= H(n+1) bound every m: the ``conjecture`` module docstring
         for n in (4, 5, 6):
@@ -246,6 +258,7 @@ def test_criterion_10_finite_certificate():
                 assert sorted(equal) == [m for m in range(1, 33) if m not in (1, 2, 4, 7)]
             else:
                 assert_attained_at_two_constant_sites_alone(n, equal)
+            assert_proven_side_bounded_at_every_m(n)
         for n in (4, 5):
             for m in range(1, hadamard_bound(n + 1) + 1):
                 values = [v for a in enumerate_multisets(n, m) for v in eval_closed_all_k(m, a)]
@@ -305,3 +318,6 @@ if __name__ == "__main__":
     print("n=7: the max never passes m*f(7) at any m <= 76, so at no m; it equals m*f(7) "
           "exactly at the multiples of 5 up to 76, each at the two constant sites alone, "
           "so at every m exactly when 5 | m")
+    assert_proven_side_bounded_at_every_m(7)
+    print("n=7: the min never passes -16m at any m <= 76, so at no m; it equals -16m "
+          "exactly at the even m up to 76")

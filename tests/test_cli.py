@@ -2,6 +2,7 @@
 needs a fresh process."""
 
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -503,7 +504,8 @@ def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(tmp_path):
     path.write_text('{"key": {"n": 3}, "record": {}}\n')
     result = invoke(["search", "--n", "3", "--m", "5", "--cache", str(path)])
     assert result.exit_code == 0
-    assert result.stderr == f"warning: discarding corrupt cache entry at {path}:1: 'n'\n"
+    assert result.stderr == (f"warning: discarding corrupt cache entry at {path}:1: "
+                             "not a line that put writes\n")
     assert "cache.py" not in result.stderr
     assert result.stdout == invoke(["search", "--n", "3", "--m", "5"]).stdout
 
@@ -695,21 +697,45 @@ def edited_cache_files(draw):
     return b"".join(lines)
 
 
-def load_everything(path, spaces):
-    """Warning texts of the first get, in order, and the record served for each space."""
-    cache = ResultCache(path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        served = [cache.get(space) for space in spaces]
-    return [str(w.message) for w in caught], served
+def as_put_writes(line):
+    """``line`` with a CRLF end read as LF and the derived truncated flag as false:
+    ``from_dict`` ignores the flag, and the pattern cannot tie it to the counts."""
+    if line.endswith(b"\r\n"):
+        line = line[:-2] + b"\n"
+    return line.replace(b'"truncated": true}}\n', b'"truncated": false}}\n')
 
 
-@given(edited_cache_files())
-@settings(max_examples=300, deadline=None)
-def test_pattern_and_full_parse_load_the_same_records_and_warnings(data):
-    spaces = set(FUZZ_SPACES)
-    for line in data.splitlines():  # and any space an edit moved a line to
+def record_put_writes_as(line):
+    """The record ``line`` holds if ``json.loads`` and ``from_dict`` accept it and ``put``
+    of that record writes ``line`` again, up to ``as_put_writes``; else None."""
+    try:
+        record = ExtremeRecord.from_dict(json.loads(line)["record"])
+    except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
+        return None
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "cache.jsonl")
         try:
+            ResultCache(path).put(record.space, record)
+        except DomainError:
+            return None
+        written = path.read_bytes()
+    return record if as_put_writes(written) == as_put_writes(line) else None
+
+
+def assert_served_exactly_when_put_writes_them(data):
+    """The oracle is put itself: a line of the file ``data`` is served exactly when
+    ``record_put_writes_as`` gives its record; every other line that is not blank warns
+    once, at its number, in line order."""
+    served, discarded, spaces = {}, [], set(FUZZ_SPACES)
+    for lineno, line in enumerate(io.BytesIO(data).readlines(), 1):  # split as the load splits
+        if line.isspace():
+            continue
+        record = record_put_writes_as(line)
+        if record is None:
+            discarded.append(lineno)
+        else:
+            served[record.space] = record
+        try:  # and any space an edit moved a discarded line to
             key = json.loads(line)["key"]
             spaces.add(SearchSpace(key["n"], key["m"], (key["k_lo"], key["k_hi"]), key["cap"]))
         except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
@@ -717,11 +743,54 @@ def test_pattern_and_full_parse_load_the_same_records_and_warnings(data):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "cache.jsonl")
         path.write_bytes(data)
-        shipped = load_everything(path, spaces)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(floorsum.cache, "_CANONICAL", rb"(?!)")  # every line fully parsed
-            parsed = load_everything(path, spaces)
-    assert shipped == parsed
+        cache = ResultCache(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = {space: cache.get(space) for space in spaces | set(served)}
+    assert {space: record for space, record in loaded.items() if record} == served
+    starts = [f"discarding corrupt cache entry at {path}:{lineno}: " for lineno in discarded]
+    assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
+    assert len(caught) == len(discarded)
+
+
+@given(edited_cache_files())
+@settings(max_examples=300, deadline=None)
+def test_a_line_is_served_exactly_when_put_writes_it(data):
+    assert_served_exactly_when_put_writes_them(data)
+
+
+def test_every_int_and_end_of_a_put_line_edited_is_served_exactly_when_put_writes_it():
+    # each int of each line, moved by one, signed, led by a zero or widened past 19 digits;
+    # and each line's end changed
+    for line in put_lines():
+        for end in (b"\r\n", b"\r\r\n", b" \n", b""):
+            assert_served_exactly_when_put_writes_them(line[:-1] + end)
+        for found in re.finditer(rb"-?[0-9]+", line):
+            lo, hi = found.span()
+            for text in (b"%d" % (int(found[0]) + 1), b"-" + found[0], b"0" + found[0],
+                         b"-0", b"1" + b"0" * 19):
+                assert_served_exactly_when_put_writes_them(line[:lo] + text + line[hi:])
+
+
+def test_put_writes_only_lines_the_load_keeps(tmp_path):
+    # a 19-digit cap, negative values, cap-truncated site lists and empty ones
+    records = [extremes(space) for space in (SearchSpace(3, 7, cap=2**63 - 1),
+                                             SearchSpace(3, 7, cap=1), SearchSpace(4, 6))]
+    records.append(records[-1].replace(max_sites=(), min_sites=()))
+    for i, record in enumerate(records):
+        path = tmp_path / f"cache{i}.jsonl"
+        ResultCache(path).put(record.space, record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ResultCache(path).get(record.space) == record
+    # a number past 19 digits, a negative site entry or count, an empty multiset: refused,
+    # and nothing written
+    stored = path.read_bytes()
+    for fields in ({"max_value": 10**19}, {"min_value": -10**19}, {"max_count": -1},
+                   {"min_sites": (((3, 3, 3, -1), 2),)}, {"max_sites": (((), 0),)}):
+        with pytest.raises(DomainError, match="does not fit a cache line"):
+            ResultCache(path).put(record.space, record.replace(**fields))
+        assert path.read_bytes() == stored
 
 
 def test_cached_extremes_serves_stored_records(tmp_path):

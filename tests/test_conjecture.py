@@ -22,6 +22,7 @@ from floorsum import (
     box,
     case_b_conditions,
     delta,
+    eval_closed,
     eval_closed_all_k,
     eval_direct,
     extremes,
@@ -294,6 +295,21 @@ def test_no_proven_bound_is_ever_exceeded():
         for m in (7, 9, 11):
             report = verify_bounds(n, m)
             assert not report.proven_violation, (n, m, report)
+
+
+def test_proven_side_witnesses_attain_the_odd_m_value_far_past_the_searches():
+    # criterion 11's witness sites, by eval_closed alone, at every odd m from the onset
+    # 2*floor(n/4) + 1 to 151: each is +-(2^(n-2)*(m-1)/2 - c_n) (checked, not proven)
+    for n in range(5, 13):
+        j = n // 2
+        c = ((2 * j - 1) * comb(2 * j - 2, j - 1) - 4 ** (j - 1)) // 2 * (1 + n % 2)
+        for m in range(2 * (n // 4) + 1, 152, 2):
+            sharp = (1 << (n - 2)) * (m - 1) // 2 - c
+            hi, lo = (m + 1) // 2, (m - 1) // 2
+            for t in (0, 1):
+                for i in ((n + 1) // 2 - t, n // 2 + 1 - t):
+                    value = eval_closed(Instance(m, (hi,) * i + (lo,) * (n - i), lo - 1 + t))
+                    assert value == (-sharp if n % 2 else sharp), (n, m, i, t)
 
 
 def test_verifiers_search_through_the_cache(monkeypatch, tmp_path):

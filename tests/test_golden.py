@@ -107,9 +107,9 @@ CASES.update({
                     "f-seq", "delta-scan")
 })
 
-# Oversize queries, each refused with exit 2 at once: past 64-bit range, past
-# Python's decimal digit limit (in an argument, or in f-seq's terms), or refused its
-# memory by the allocator.
+# Oversize queries, each refused with exit 2 at once: past 64-bit range (a widest cell or
+# a site cap), past Python's decimal digit limit (in an argument, or in f-seq's terms), or
+# refused its memory by the allocator.
 HUGE = str(10**4000)
 CASES.update({
     "oversize-search": (["search", "--n", "70", "--m", "3"], 2, None),
@@ -121,6 +121,7 @@ CASES.update({
     "oversize-delta-scan-memory": (["delta-scan", "--m", "100000000000"], 2, None),
     "oversize-search-memory": (["search", "--n", "1", "--m", "100000000000"], 2, None),
     "oversize-search-n2-memory": (["search", "--n", "2", "--m", "100000000000"], 2, None),
+    "oversize-search-cap": (["search", "--n", "2", "--m", "4", "--cap", str(2**63)], 2, None),
     "oversize-f-seq-n-max-digits": (["f-seq", "--n-max", HUGE], 2, None),
     # refused by the digit rule before its list is allocated; test_cli turns the limit off
     # to drive f-seq's memory refusal

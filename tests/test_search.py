@@ -68,6 +68,14 @@ def test_search_space_refuses_a_space_whose_widest_cell_overflows():
     assert SearchSpace(56, 2).k_range == (0, 1)
 
 
+def test_search_space_refuses_a_cap_past_64_bits():
+    # the fold's islice takes a stop of at most sys.maxsize
+    with pytest.raises(InstanceTooLargeError, match=r"^cap=9223372036854775808 exceeds 64-bit"):
+        SearchSpace(2, 4, cap=2**63)
+    space = SearchSpace(2, 4, cap=2**63 - 1)
+    assert extremes(space) == extremes(SearchSpace(2, 4)).replace(space=space)
+
+
 def test_search_space_checks_its_widest_cell_without_building_it():
     # by arithmetic on (n, m): no n-element tuple, however large n is; the worst
     # case, 2^n * 40000003, has n + 26 bits
