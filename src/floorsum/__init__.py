@@ -1,7 +1,7 @@
 """Exact arithmetic for alternating floor-function sums.
 
-Evaluation (definitional and closed form), mirror/difference symmetry
-operators, exhaustive extremal search, known and conjectured bounds,
+Evaluation (definitional and closed form), the shift difference and its
+case table, exhaustive extremal search, known and conjectured bounds,
 and the exact rational sequence behind the conjectured extremal values.
 """
 

@@ -143,7 +143,7 @@ rational equality, never by tolerance.
 from __future__ import annotations
 
 __all__ = [
-    "f_sequence", "f_value", "recurrence_residual", "known_bounds", "Bound", "predicted_extremes",
+    "f_sequence", "f_value", "known_bounds", "Bound", "predicted_extremes",
     "PredictedSite", "verify_bounds", "BoundsReport", "verify_conjecture", "ConjectureReport",
     "SiteCheck",
 ]
@@ -212,15 +212,6 @@ def f_value(n: int) -> Fraction:
     return f_sequence(n)[n - 2]
 
 
-def recurrence_residual(values: Sequence[Fraction], n: int) -> Fraction:
-    """LHS minus RHS of the recurrence at n; zero iff it is satisfied.
-
-    ``values[i]`` must hold f(i+2).  Only meaningful for n >= 11.
-    """
-    _at_least("n", n, 11)
-    return -5 * (n + 3) * (n - 2) * values[n - 2] - _recurrence_rhs(n, values)
-
-
 def _conjecture_block(n: int) -> tuple[int, int]:
     """Return (part, block index k): n = 4k-1, 4k, 4k+1 -> part 1,
     n = 4k+2 -> part 2."""
@@ -246,14 +237,20 @@ def predicted_extremes(n: int, m: int) -> list[PredictedSite]:
     and (d+1)/2.  Raises DivisibilityError naming every missing divisor
     when m is not a multiple of what the sites require.
     """
+    return [PredictedSite((v,) * n, v - 1, d)
+            for d in _required_divisors(n, m) for v in ((m - m // d) // 2, (m + m // d) // 2)]
+
+
+def _required_divisors(n: int, m: int) -> tuple[int, ...]:
+    """The divisors the predicted sites of (n, m) need, checked against m as
+    ``predicted_extremes`` states, without building a site."""
     _at_least("modulus", m, 1)
     part, k = _conjecture_block(n)
     required = (2 * k + 1, 2 * k + 3)[:part]
     missing = tuple(d for d in required if m % d)
     if missing:
         raise DivisibilityError(m, missing)
-    return [PredictedSite((v,) * n, v - 1, d)
-            for d in required for v in ((m - m // d) // 2, (m + m // d) // 2)]
+    return required
 
 
 class Bound(_Record):
@@ -430,14 +427,17 @@ def verify_conjecture(n: int, m: int, workers: int = 1,
     """Check M(n) = m*f(n) and the predicted sites against full search.
 
     Raises DivisibilityError, before any search or cache access, when m
-    does not admit the predicted sites; the search is as in ``verify_bounds``.
-    Site membership is decided by evaluating each predicted site
-    directly, so it is immune to site-list truncation; the part-1
-    set-equality check additionally compares the attaining count.
+    does not admit the predicted sites, and then refuses a space that
+    ``SearchSpace`` refuses before any n-element site is built; the search
+    is as in ``verify_bounds``.  Site membership is decided by evaluating
+    each predicted site directly, so it is immune to site-list truncation;
+    the part-1 set-equality check additionally compares the attaining count.
     """
+    _required_divisors(n, m)
+    space = SearchSpace(n, m)
     sites = predicted_extremes(n, m)
     part, block = _conjecture_block(n)
-    record = cached_extremes(SearchSpace(n, m), workers, cache)
+    record = cached_extremes(space, workers, cache)
     side = "max" if n % 2 else "min"
     search_value, count = getattr(record, f"{side}_value"), getattr(record, f"{side}_count")
     checks = []

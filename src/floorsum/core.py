@@ -40,7 +40,7 @@ value whose fields are its ``__slots__``, bound once by the base's ``__init__``.
 
 from __future__ import annotations
 
-__all__ = ["Instance", "eval_direct", "eval_closed", "eval_closed_all_k", "inner_term"]
+__all__ = ["Instance", "eval_direct", "eval_closed", "eval_closed_all_k"]
 
 from collections.abc import Sequence
 from itertools import accumulate
@@ -168,22 +168,12 @@ def _signed_subset_sums(a: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def inner_term(m: int, a: Sequence[int], k: int) -> int:
-    """The alternating subset-floor sum at a single k.
-
-    For n=2 this is Jacobsthal's f_m({a1,a2}, k).  Summing it over
-    k = 0..K gives S_m(A, K).  The arguments are checked as ``Instance`` checks them.
-    """
-    inst = Instance(m, a, k)
-    return sum(sg * ((k + s) // m) for sg, s in _signed_subset_sums(inst.a))
-
-
 def eval_direct(inst: Instance) -> int:
     """Definitional double sum; the oracle for every other evaluator.
 
-    Equals ``sum(inner_term(inst.m, inst.a, k) for k in range(inst.k + 1))``;
-    the subset sums are hoisted out of the k loop since they do not
-    depend on k.
+    The inner sum over subsets at each k = 0..K is the inner term f_A(k),
+    the alternating subset-floor sum; the subset sums are hoisted out of
+    the k loop since they do not depend on k.
     """
     m = inst.m
     pairs = _signed_subset_sums(inst.a)
@@ -213,7 +203,7 @@ def eval_closed(inst: Instance) -> int:
 def eval_closed_all_k(m: int, a: Sequence[int]) -> list[int]:
     """Values [S_m(A, 0), ..., S_m(A, m-1)] in one pass over the inner term.
 
-    Over one period k = 0..m-1 the inner term f_A(k) (``inner_term``) of
+    Over one period k = 0..m-1 the inner term f_A(k) (see ``eval_direct``) of
     one element a is [k + a >= m], and f_A is m-periodic, so adding an
     element b is one rotate-and-subtract: f_{A+b}(k) = f_A(k+b) - f_A(k).
     S_m(A, K) = f_A(0) + ... + f_A(K) are then the prefix sums.  Each

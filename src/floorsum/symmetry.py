@@ -1,4 +1,4 @@
-"""Mirror transform and the shift-difference operators with their case tables.
+"""The mirror identity, and the shift-difference operator with its case table.
 
 The mirror identity S_m(A, K) = S_m(-A, m - 2 - K) on 0 <= K <= m-2, where
 -A is the multiset of (m - a) mod m, is proven here for every bounded A
@@ -37,17 +37,16 @@ The two-variable difference
 always lies in {-1, 0, +1} on 1 <= K <= floor(m/2)-1 and is classified
 into four cases by whether a1+a2 wraps past m and whether the a2 tail
 term max(0, a2+K-m+1) is active.  ``_case`` is that rule, the one place
-it is written: ``delta``, ``case_b_conditions`` and the table scan
-``_case_counts`` (behind the ``delta-scan`` command) all classify through
-it.  The three-variable difference decomposes into three such deltas.
+it is written: ``delta`` and the table scan ``_case_counts`` (behind the
+``delta-scan`` command) both classify through it.  The three-variable
+difference S({a1,a2,a3},K) - S({a1+1,a2,a3},K-1) decomposes into three
+such deltas, of the pairs (a1, (a2+a3) mod m), (a1, a2) and (a1, a3): the
+first minus the other two (the tests check it on every cell with m <= 15).
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "mirror", "delta", "DeltaRecord", "CASE_VALUES", "box", "BoxRecord", "case_b_conditions",
-    "CaseBConditions",
-]
+__all__ = ["delta", "DeltaRecord", "CASE_VALUES"]
 
 from itertools import pairwise
 
@@ -70,67 +69,6 @@ class DeltaRecord(_Record):
         super().__init__(value, case_id, cond_sum, cond_tail)
 
 
-class BoxRecord(_Record):
-    """Three-variable difference and the three deltas it decomposes into.
-
-    value = components[0].value - components[1].value - components[2].value
-    """
-
-    __slots__ = ("value", "components")
-
-    def __init__(self, value: int, components: tuple[DeltaRecord, DeltaRecord, DeltaRecord]):
-        super().__init__(value, components)
-
-
-class CaseBConditions(_Record):
-    """Truth values of the six predicates governing the +1 configuration.
-
-    The three-variable difference can only equal +1 when the pair
-    (a1, (a2+a3) mod m) gives +1 (c1a AND c1b) while both (a1, a2) and
-    (a1, a3) give 0 (c2a XOR c2b, c3a XOR c3b).
-    """
-
-    __slots__ = ("c1a", "c1b", "c2a", "c2b", "c3a", "c3b")
-
-    def __init__(self,
-                 c1a: bool,   # a1 + ((a2+a3) mod m) >= m
-                 c1b: bool,   # ((a2+a3) mod m) + K - m + 1 <= 0
-                 c2a: bool,   # a1 + a2 >= m
-                 c2b: bool,   # a2 + K - m + 1 <= 0
-                 c3a: bool,   # a1 + a3 >= m
-                 c3b: bool):  # a3 + K - m + 1 <= 0
-        super().__init__(c1a, c1b, c2a, c2b, c3a, c3b)
-
-    @property
-    def plus_one_config(self) -> bool:
-        return (self.c1a and self.c1b) and (self.c2a != self.c2b) and (self.c3a != self.c3b)
-
-
-def mirror(inst: Instance) -> Instance:
-    """Map (A, K) to (m - A mod m, m - 2 - K).
-
-    Requires a bounded instance with 0 <= K <= m-2 (K = m-1 lies outside
-    the identity's range).  Elements equal to 0 map to 0, keeping the
-    image bounded.  The S value is equal for every n >= 2 (proven in
-    the module docstring) and may differ for n = 1.
-    """
-    m = inst.m
-    if not inst.is_bounded:
-        raise DomainError("mirror requires a bounded instance (a_i, K <= m-1)")
-    if not 0 <= inst.k <= m - 2:
-        raise DomainError(f"mirror requires k in [0, {m - 2}], got {inst.k}")
-    return Instance(m, tuple((m - v) % m for v in inst.a), m - 2 - inst.k)
-
-
-def _check_delta_domain(m: int, pair: tuple[int, ...], k: int) -> None:
-    _at_least("modulus", m, 1)
-    if any(not 0 <= v <= m - 1 for v in pair):
-        raise DomainError(f"elements must be in [0, {_shown(m - 1)}], "
-                          f"got ({', '.join(map(_shown, pair))})")
-    if not 1 <= k <= m // 2 - 1:
-        raise DomainError(f"k must be in [1, {_shown(m // 2 - 1)}], got {_shown(k)}")
-
-
 def _case(m: int, a: int, b: int, k: int) -> tuple[bool, bool, int]:
     """(wraps, tail, case id) of the pair (a, b) at K: the one case rule."""
     wraps, tail = a + b >= m, b + k - m + 1 > 0
@@ -144,7 +82,12 @@ def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
     0 <= a1, a2 <= m-1; out-of-range calls are errors, not
     extrapolations.
     """
-    _check_delta_domain(m, (a1, a2), k)
+    _at_least("modulus", m, 1)
+    if not (0 <= a1 <= m - 1 and 0 <= a2 <= m - 1):
+        raise DomainError(f"elements must be in [0, {_shown(m - 1)}], "
+                          f"got ({_shown(a1)}, {_shown(a2)})")
+    if not 1 <= k <= m // 2 - 1:
+        raise DomainError(f"k must be in [1, {_shown(m // 2 - 1)}], got {_shown(k)}")
     value = eval_closed(Instance(m, (a1, a2), k)) - eval_closed(Instance(m, (a1 + 1, a2), k - 1))
     cond_sum, cond_tail, case_id = _case(m, a1, a2, k)
     if value != CASE_VALUES[case_id]:
@@ -153,40 +96,6 @@ def delta(m: int, a1: int, a2: int, k: int) -> DeltaRecord:
             f"requires {CASE_VALUES[case_id]}"
         )
     return DeltaRecord(value, case_id, cond_sum, cond_tail)
-
-
-def box(m: int, a1: int, a2: int, a3: int, k: int) -> BoxRecord:
-    """Three-variable difference S({a1,a2,a3},K) - S({a1+1,a2,a3},K-1).
-
-    Also computed as delta(a1, (a2+a3) mod m) - delta(a1, a2) -
-    delta(a1, a3); the two routes must agree.
-    """
-    _check_delta_domain(m, (a1, a2, a3), k)
-    direct = eval_closed(Instance(m, (a1, a2, a3), k)) - eval_closed(
-        Instance(m, (a1 + 1, a2, a3), k - 1)
-    )
-    components = (
-        delta(m, a1, (a2 + a3) % m, k),
-        delta(m, a1, a2, k),
-        delta(m, a1, a3, k),
-    )
-    decomposed = components[0].value - components[1].value - components[2].value
-    if direct != decomposed:
-        raise TableViolationError(
-            f"box({m}, {a1}, {a2}, {a3}, {k}): direct {direct} != decomposition {decomposed}"
-        )
-    return BoxRecord(direct, components)
-
-
-def case_b_conditions(m: int, a1: int, a2: int, a3: int, k: int) -> CaseBConditions:
-    """Pure predicate report for the +1 configuration of the box operator.
-
-    Intended for sorted a1 >= a2 >= a3 on floor(m/3) <= K <= floor(m/2)-1,
-    but evaluates the predicates verbatim for any inputs.
-    """
-    _at_least("modulus", m, 1)
-    pairs = (_case(m, a1, b, k) for b in ((a2 + a3) % m, a2, a3))
-    return CaseBConditions(*(v for wraps, tail, _ in pairs for v in (wraps, not tail)))
 
 
 def _case_counts(ms: range) -> list[list[int]]:

@@ -1,6 +1,7 @@
-"""Shared enumeration, hypothesis strategies, cross-check helpers, the doctored-cache
-helper and the two CLI runners for the test suite: in process, and through the entry
-point in a fresh process."""
+"""Shared enumeration, hypothesis strategies, cross-check helpers (the paper's proof
+devices among them: the inner term, the mirror map and the three-element difference),
+the doctored-cache helper and the two CLI runners for the test suite: in process, and
+through the entry point in a fresh process."""
 
 import io
 import math
@@ -10,14 +11,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from typing import Sequence
 from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from floorsum import ExtremeRecord, Instance, ResultCache, eval_closed, extremes
+from floorsum import ExtremeRecord, Instance, ResultCache, eval_closed, eval_closed_all_k, extremes
 from floorsum.cli import cli
 
 
@@ -41,6 +42,43 @@ def bounded_instances(draw, n_min=1, n_max=5, m_max=12):
     a = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
     k = draw(st.integers(0, m - 1))
     return Instance(m, a, k)
+
+
+def inner_term(m: int, a: Sequence[int], k: int) -> int:
+    """f_A(k) = sum over subsets T of A of (-1)^(n-|T|) * floor((k + sum(T)) / m), the
+    alternating subset-floor sum (Jacobsthal's f_m({a1, a2}, k) for n = 2), with the
+    subsets enumerated by ``combinations``, apart from the library's own expansion."""
+    n = len(a)
+    return sum((-1) ** (n - size) * ((k + sum(t)) // m)
+               for size in range(n + 1) for t in combinations(a, size))
+
+
+def mirror(m: int, a: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
+    """The mirror image (m - A mod m, m - 2 - K) of a cell, its multiset in descending
+    order; S_m is equal on both for n >= 2 and 0 <= K <= m-2 (``symmetry.py``)."""
+    return tuple(sorted(((m - v) % m for v in a), reverse=True)), m - 2 - k
+
+
+def box_cells(m_max: int):
+    """Every cell of the three-element difference's proven domain with m <= m_max,
+    0 <= a1, a2, a3 <= m-1 and 1 <= K <= floor(m/2)-1, as
+    ((m, a1, a2, a3, K), direct, (d1, d2, d3)): direct is
+    S({a1,a2,a3},K) - S({a1+1,a2,a3},K-1), and d1, d2, d3 are the two-element
+    differences S({a1,b},K) - S({a1+1,b},K-1) of b = (a2+a3) mod m, a2 and a3.  Every
+    S is read from an ``eval_closed_all_k`` sweep, with a1+1 taken mod m, as only
+    residues matter for n >= 2."""
+    for m in range(1, m_max + 1):
+        pairs = [[eval_closed_all_k(m, (x, y)) for y in range(m)] for x in range(m)]
+        triples = {a: eval_closed_all_k(m, a)
+                   for a in combinations_with_replacement(range(m - 1, -1, -1), 3)}
+        for a1, a2, a3 in product(range(m), repeat=3):
+            up = (a1 + 1) % m
+            here = triples[tuple(sorted((a1, a2, a3), reverse=True))]
+            shifted = triples[tuple(sorted((up, a2, a3), reverse=True))]
+            for k in range(1, m // 2):
+                yield ((m, a1, a2, a3, k), here[k] - shifted[k - 1],
+                       tuple(pairs[a1][b][k] - pairs[up][b][k - 1]
+                             for b in ((a2 + a3) % m, a2, a3)))
 
 
 def n4_five_sum(m: int, a: Sequence[int], k: int) -> tuple[int, int, tuple[int, ...]]:

@@ -19,8 +19,6 @@ from floorsum import (
     InstanceTooLargeError,
     ResultCache,
     SearchSpace,
-    box,
-    case_b_conditions,
     delta,
     eval_closed,
     eval_closed_all_k,
@@ -30,7 +28,6 @@ from floorsum import (
     f_value,
     known_bounds,
     predicted_extremes,
-    recurrence_residual,
     sequence_table,
     verify_bounds,
     verify_conjecture,
@@ -39,14 +36,6 @@ from floorsum.search import enumerate_multisets
 from helpers import STARTED_ENV, n4_five_sum
 
 # -------------------------------------------------------------- recurrence
-
-
-def test_recurrence_residual_is_identically_zero():
-    seq = f_sequence(30)
-    for n in range(11, 31):
-        assert recurrence_residual(seq, n) == 0
-    with pytest.raises(DomainError):
-        recurrence_residual(seq, 10)
 
 
 def test_sign_pattern_observed_through_30():
@@ -336,6 +325,10 @@ def test_verify_conjecture_checks_divisibility_before_the_cache(tmp_path):
     with pytest.raises(DivisibilityError):
         verify_conjecture(6, 17, cache=ResultCache(path))
     assert not path.exists()
+    # past the divisors, the 64-bit width rule refuses before an n-element site is built
+    with pytest.raises(InstanceTooLargeError, match="exceeds 64-bit range"):
+        verify_conjecture(2**61 - 3, 2**60 - 1, cache=ResultCache(path))
+    assert not path.exists()
 
 
 def test_verify_conjecture_part_one():
@@ -381,17 +374,16 @@ H = 10**5000  # str() refuses it with a plain ValueError
         "known_bounds(5, -H)", "known_bounds(-H, 5)", "known_bounds(H, 5)",
         "known_bounds(2**63, 5)",
         "predicted_extremes(4, -H)", "predicted_extremes(4, H + 1)",
-        "f_sequence(-H)", "f_value(-H)", "recurrence_residual([], -H)",
+        "f_sequence(-H)", "f_value(-H)",
         "verify_conjecture(-H, 5)", "verify_conjecture(4, H + 1)",
         "sequence_table(3, -H)", "enumerate_multisets(-H, 3)",
         "extremes(SearchSpace(2, 3), workers=-H)",
         "delta(-H, 1, 1, 1)", "delta(9, H + 1, 1, 1)", "delta(9, 1, 1, -H)",
-        "box(9, 1, H + 1, 1, 1)", "case_b_conditions(-H, 1, 1, 1, 1)",
     ]),
     *((call, DomainError) for call in [
         "known_bounds(True, 6)", "known_bounds(5.5, 6)", "extremes(SearchSpace(2, 3), workers=1.5)",
         "f_sequence(10.5)", "sequence_table(3, 2.0)", "predicted_extremes(4.0, 6)",
-        "eval_closed_all_k(5, (1, 'x'))", "delta(9, 1, 1, 1e100)", "box(9, 1, 1e100, 1, 1)",
+        "eval_closed_all_k(5, (1, 'x'))", "delta(9, 1, 1, 1e100)",
     ]),
 ])
 def test_every_floor_refuses_a_huge_or_non_int_argument_cleanly(call, error):

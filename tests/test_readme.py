@@ -1,6 +1,8 @@
-"""README contract: its library quick start runs, and each Public API bullet is that
-module's ``__all__``, which ``floorsum.__all__`` joins in the same order."""
+"""README contract: its library quick start runs, each Public API bullet is that
+module's ``__all__``, which ``floorsum.__all__`` joins in the same order, and every
+public name is used by the library or by the quick start."""
 
+import ast
 import importlib
 import re
 from itertools import chain
@@ -17,9 +19,40 @@ def _section(title: str) -> str:
     return README[start:end if end != -1 else None]
 
 
-def test_library_quick_start_runs():
+def _quick_start() -> str:
     (code,) = re.findall(r"```python\n(.*?)```", _section("Library quick start"), re.S)
-    exec(compile(code, "README.md", "exec"), {})
+    return code
+
+
+def _names_read(source: str) -> set[str]:
+    """Every name ``source`` reads as a variable or an attribute, outside the body of
+    the def or class that binds that name; docstrings and ``__all__`` strings do not count."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return read
+
+
+def test_library_quick_start_runs():
+    exec(compile(_quick_start(), "README.md", "exec"), {})
+
+
+def test_every_public_name_is_used_by_the_library_or_the_quick_start():
+    # a name only the tests call belongs in the tests, not in the public API
+    library = Path(floorsum.__file__).parent.glob("*.py")
+    read = set().union(*(_names_read(path.read_text(encoding="utf-8")) for path in library),
+                       _names_read(_quick_start()))
+    assert [name for name in floorsum.__all__ if name not in read] == []
 
 
 def test_public_api_list_matches_all():

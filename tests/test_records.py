@@ -14,8 +14,6 @@ from floorsum import (
     DomainError,
     Instance,
     SearchSpace,
-    box,
-    case_b_conditions,
     delta,
     extremes,
     known_bounds,
@@ -62,14 +60,6 @@ RECORDS = {
         "sites_exact=True)"),
     "DeltaRecord": (lambda: delta(10, 3, 8, 2),
                     "DeltaRecord(value=0, case_id=4, cond_sum=True, cond_tail=True)"),
-    "BoxRecord": (
-        lambda: box(8, 3, 2, 1, 2),
-        "BoxRecord(value=0, components=(DeltaRecord(value=0, case_id=1, cond_sum=False, "
-        "cond_tail=False), DeltaRecord(value=0, case_id=1, cond_sum=False, cond_tail=False), "
-        "DeltaRecord(value=0, case_id=1, cond_sum=False, cond_tail=False)))"),
-    "CaseBConditions": (
-        lambda: case_b_conditions(9, 6, 5, 4, 3),
-        "CaseBConditions(c1a=False, c1b=True, c2a=True, c2b=True, c3a=True, c3b=True)"),
     "RunConfig": (
         lambda: RunConfig("search", n=3, m=5, k_lo=0, k_hi=4, cap=1000),
         "RunConfig(command='search', fmt='human', workers=1, cache_path=None, n=3, m=5, "

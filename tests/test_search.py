@@ -19,12 +19,11 @@ from floorsum import (
     SearchSpace,
     eval_direct,
     extremes,
-    inner_term,
     search,
     sequence_table,
 )
 from floorsum.search import DEFAULT_CAP, enumerate_multisets
-from helpers import reference_extremes
+from helpers import inner_term, reference_extremes
 
 def test_enumeration_order_and_counts():
     assert list(enumerate_multisets(2, 2)) == [(1, 1), (1, 0), (0, 0)]

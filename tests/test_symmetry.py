@@ -4,54 +4,32 @@ The mirror identity and its Lemma A, S_m(A, m-1) = 0, are proven for
 n >= 2 (see the symmetry module docstring).  Both are asserted against
 the definitional oracle exhaustively on a small envelope and by
 hypothesis at larger n; a counterexample fails with the witnessing
-instance in the message.
+instance in the message.  The mirror map and the three-element
+difference are test-side (``helpers.mirror``, ``helpers.box_cells``);
+the case-B predicates are written out below.
 """
 
-from itertools import chain, product
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 
-import floorsum.symmetry
-from floorsum import (
-    DomainError,
-    Instance,
-    TableViolationError,
-    box,
-    case_b_conditions,
-    delta,
-    eval_closed,
-    eval_direct,
-    mirror,
-)
-from helpers import bounded_instances, iter_bounded
-
-
-def legal_delta_k(m):
-    return range(1, m // 2)
+from floorsum import CASE_VALUES, DomainError, Instance, delta, eval_closed, eval_direct
+from floorsum.symmetry import _case
+from helpers import bounded_instances, box_cells, iter_bounded, mirror
 
 
 # ------------------------------------------------------------------ mirror
 
 
 def test_mirror_known_values():
-    image = mirror(Instance(5, (2, 3), 1))
-    assert image.a == (3, 2) and image.k == 2
-    assert eval_closed(Instance(5, (2, 3), 1)) == eval_closed(image) == 2
+    assert mirror(5, (2, 3), 1) == ((3, 2), 2)
+    assert eval_closed(Instance(5, (2, 3), 1)) == eval_closed(Instance(5, (3, 2), 2)) == 2
 
-    image = mirror(Instance(5, (0, 4), 1))
-    assert image.a == (1, 0) and image.k == 2  # 0 maps to 0 under mod-m reduction
-    assert eval_closed(Instance(5, (0, 4), 1)) == eval_closed(image) == 0
+    assert mirror(5, (0, 4), 1) == ((1, 0), 2)  # 0 maps to 0 under mod-m reduction
+    assert eval_closed(Instance(5, (0, 4), 1)) == eval_closed(Instance(5, (1, 0), 2)) == 0
 
-    fixed = mirror(Instance(4, (2, 2), 1))
-    assert fixed == Instance(4, (2, 2), 1)  # self-mirror at a_i = m/2, K = m/2-1
-
-
-def test_mirror_rejects_terminal_k_and_unbounded_instances():
-    with pytest.raises(DomainError):
-        mirror(Instance(5, (2, 3), 4))
-    with pytest.raises(DomainError):
-        mirror(Instance(5, (7, 3), 1))
+    assert mirror(4, (2, 2), 1) == ((2, 2), 1)  # self-mirror at a_i = m/2, K = m/2-1
 
 
 def test_mirror_is_an_involution():
@@ -59,8 +37,8 @@ def test_mirror_is_an_involution():
         for a1 in range(m):
             for a2 in range(m):
                 for k in range(m - 1):
-                    inst = Instance(m, (a1, a2), k)
-                    assert mirror(mirror(inst)) == inst
+                    assert mirror(m, *mirror(m, (a1, a2), k)) == (
+                        tuple(sorted((a1, a2), reverse=True)), k)
 
 
 def test_mirror_equality_exhaustive_where_proven():
@@ -68,7 +46,7 @@ def test_mirror_equality_exhaustive_where_proven():
     for m, a, k in cells:
         inst = Instance(m, a, k)
         if k <= m - 2:
-            assert eval_direct(inst) == eval_direct(mirror(inst)), inst
+            assert eval_direct(inst) == eval_direct(Instance(m, *mirror(m, a, k))), inst
         else:
             assert eval_direct(inst) == 0, inst  # Lemma A
 
@@ -78,7 +56,8 @@ def test_mirror_equality_exhaustive_where_proven():
 def test_mirror_lemmas_hold_by_hypothesis(inst):
     assert eval_direct(Instance(inst.m, inst.a, inst.m - 1)) == 0  # Lemma A
     if inst.k <= inst.m - 2:
-        assert eval_direct(inst) == eval_direct(mirror(inst)), inst
+        image = Instance(inst.m, *mirror(inst.m, inst.a, inst.k))
+        assert eval_direct(inst) == eval_direct(image), inst
 
 
 # ------------------------------------------------------------------- delta
@@ -114,99 +93,91 @@ def test_delta_matches_the_oracle_difference():
 # --------------------------------------------------------------------- box
 
 
-def test_box_known_values():
-    rec = box(6, 5, 2, 2, 2)
-    assert rec.value == -2
-    assert [c.value for c in rec.components] == [0, 1, 1]  # -2 = 0 - 1 - 1
-    oracle = eval_direct(Instance(6, (5, 2, 2), 2)) - eval_direct(Instance(6, (6, 2, 2), 1))
-    assert rec.value == oracle
-
-    assert box(8, 5, 0, 0, 2).value == 0  # zero elements collapse every sum
-    rec = box(7, 3, 2, 1, 1)  # direct/decomposition agreement is checked inside
-    oracle = eval_direct(Instance(7, (3, 2, 1), 1)) - eval_direct(Instance(7, (4, 2, 1), 0))
-    assert rec.value == oracle
-
-
-def test_box_raises_when_its_deltas_disagree_with_the_direct_difference(monkeypatch):
-    true_delta = floorsum.symmetry.delta
-
-    def off_by_one(m, a1, a2, k):
-        record = true_delta(m, a1, a2, k)
-        return record.replace(value=record.value + 1)
-
-    monkeypatch.setattr(floorsum.symmetry, "delta", off_by_one)
-    # each of the three deltas gains 1, so the decomposition 0 - 1 - 1 loses 1
-    with pytest.raises(TableViolationError) as caught:
-        box(6, 5, 2, 2, 2)
-    assert str(caught.value) == "box(6, 5, 2, 2, 2): direct -2 != decomposition -3"
-
-
 @pytest.fixture(scope="module")
 def box_sweep():
-    # box() on every cell of the proven domain with m <= 15, walked once for the
-    # two tests below: each cell with its components' (wraps, tail, case id)
-    return [((m, a1, a2, a3, k), tuple((d.cond_sum, d.cond_tail, d.case_id)
-                                       for d in box(m, a1, a2, a3, k).components))
-            for m in range(1, 16) for a1, a2, a3 in product(range(m), repeat=3)
-            for k in legal_delta_k(m)]
+    # every cell of the proven domain with m <= 15, walked once for the tests
+    # below: {(m, a1, a2, a3, K): (direct, (d1, d2, d3))}, with the decomposition
+    # direct = d1 - d2 - d3 asserted on each
+    cells = {}
+    for where, direct, (d1, d2, d3) in box_cells(15):
+        assert direct == d1 - d2 - d3, where
+        cells[where] = direct, (d1, d2, d3)
+    return cells
+
+
+def test_box_known_values(box_sweep):
+    assert box_sweep[6, 5, 2, 2, 2] == (-2, (0, 1, 1))  # -2 = 0 - 1 - 1
+    oracle = eval_direct(Instance(6, (5, 2, 2), 2)) - eval_direct(Instance(6, (6, 2, 2), 1))
+    assert oracle == -2
+    assert box_sweep[6, 5, 2, 2, 2][1] == tuple(delta(6, 5, b, 2).value for b in (4, 2, 2))
+
+    assert box_sweep[8, 5, 0, 0, 2][0] == 0  # zero elements collapse every sum
+    oracle = eval_direct(Instance(7, (3, 2, 1), 1)) - eval_direct(Instance(7, (4, 2, 1), 0))
+    assert box_sweep[7, 3, 2, 1, 1][0] == oracle
 
 
 def test_box_decomposition_exhaustive(box_sweep):
-    # box() itself raises if the two routes disagree
+    # the fixture asserts direct = d1 - d2 - d3 on every cell
     assert len(box_sweep) == 70_693
 
 
 def test_box_case_a_upper_bound():
     # sorted elements, 1 <= K <= floor(m/3)-1: the difference is at most 1
-    for m in range(1, 19):
-        for a1 in range(m):
-            for a2 in range(a1 + 1):
-                for a3 in range(a2 + 1):
-                    for k in range(1, m // 3):
-                        assert box(m, a1, a2, a3, k).value <= 1, (m, a1, a2, a3, k)
+    for (m, a1, a2, a3, k), direct, _ in box_cells(18):
+        if a1 >= a2 >= a3 and k < m // 3:
+            assert direct <= 1, (m, a1, a2, a3, k)
 
 
 # ------------------------------------------------------------------ case B
 
 
-def test_case_b_conditions_known_values():
+def case_b_conditions(m, a1, a2, a3, k):
+    """(c1a, c1b, c2a, c2b, c3a, c3b), the six predicates of the +1 configuration."""
+    s23 = (a2 + a3) % m
+    return (a1 + s23 >= m, s23 + k - m + 1 <= 0,
+            a1 + a2 >= m, a2 + k - m + 1 <= 0,
+            a1 + a3 >= m, a3 + k - m + 1 <= 0)
+
+
+def plus_one_config(c1a, c1b, c2a, c2b, c3a, c3b):
+    """The pair (a1, s23) gives +1 (c1a AND c1b) while (a1, a2) and (a1, a3) give 0."""
+    return c1a and c1b and c2a != c2b and c3a != c3b
+
+
+def test_case_b_conditions_known_values(box_sweep):
     # direct predicate evaluation: s23 = 3, so 3+3 >= 6 and 3+2-6+1 <= 0,
     # while both pair rows hit their tail condition only
-    report = case_b_conditions(6, 3, 2, 1, 2)
-    assert report.c1a and report.c1b
-    assert not report.c2a and report.c2b
-    assert not report.c3a and report.c3b
-    assert report.plus_one_config
-    assert box(6, 3, 2, 1, 2).value == 1
+    conditions = case_b_conditions(6, 3, 2, 1, 2)
+    assert conditions == (True, True, False, True, False, True)
+    assert plus_one_config(*conditions)
+    assert box_sweep[6, 3, 2, 1, 2][0] == 1
 
     zeros = case_b_conditions(9, 0, 0, 0, 3)
-    assert not zeros.c1a and not zeros.plus_one_config
+    assert not zeros[0] and not plus_one_config(*zeros)
 
 
-def test_case_b_conditions_gate_the_plus_one_value():
+def test_case_b_conditions_gate_the_plus_one_value(box_sweep):
     # on the case-B strip the AND/XOR/XOR configuration holds exactly at
     # the box = +1 cells, and such cells exist (the check is not vacuous)
     hits = 0
-    for m in range(4, 13):
-        for a1 in range(m):
-            for a2 in range(a1 + 1):
-                for a3 in range(a2 + 1):
-                    for k in range(max(1, m // 3), m // 2):
-                        value = box(m, a1, a2, a3, k).value
-                        config = case_b_conditions(m, a1, a2, a3, k).plus_one_config
-                        assert config == (value == 1), (m, a1, a2, a3, k)
-                        hits += value == 1
+    for (m, a1, a2, a3, k), (direct, _) in box_sweep.items():
+        if 4 <= m <= 12 and a1 >= a2 >= a3 and k >= m // 3:
+            config = plus_one_config(*case_b_conditions(m, a1, a2, a3, k))
+            assert config == (direct == 1), (m, a1, a2, a3, k)
+            hits += direct == 1
     assert hits > 0
 
 
 def test_case_b_conditions_are_the_cases_of_the_box_components(box_sweep):
-    # the six predicates are (wraps, not tail) of the three deltas box
-    # decomposes into, and the +1 configuration is their case ids (3, 1|4, 1|4)
-    for where, components in box_sweep:
-        report = case_b_conditions(*where)
-        assert (report.c1a, report.c1b, report.c2a, report.c2b, report.c3a,
-                report.c3b) == tuple(v for wraps, tail, _ in components
-                                     for v in (wraps, not tail)), where
-        first, second, third = (case_id for _, _, case_id in components)
-        assert report.plus_one_config == (
-            first == 3 and second in (1, 4) and third in (1, 4)), where
+    # the six predicates are (wraps, not tail) of the three pairs the difference
+    # decomposes into, each pair's difference is its case's value, and the +1
+    # configuration is their case ids (3, 1|4, 1|4)
+    for (m, a1, a2, a3, k), (_, components) in box_sweep.items():
+        cases = [_case(m, a1, b, k) for b in ((a2 + a3) % m, a2, a3)]
+        conditions = case_b_conditions(m, a1, a2, a3, k)
+        assert conditions == tuple(v for wraps, tail, _ in cases
+                                   for v in (wraps, not tail)), (m, a1, a2, a3, k)
+        first, second, third = (case_id for _, _, case_id in cases)
+        assert components == (CASE_VALUES[first], CASE_VALUES[second], CASE_VALUES[third])
+        assert plus_one_config(*conditions) == (
+            first == 3 and second in (1, 4) and third in (1, 4)), (m, a1, a2, a3, k)
