@@ -1,27 +1,22 @@
 """Append-only result cache for long searches, and the tables built on it.
 
-One JSON record per line, keyed by (n, m, k_range, cap).  A line is kept only
-if it is exactly a line that ``put`` writes and ``SearchSpace`` accepts its
-key; every other line that is not blank is discarded with one warning when
-the file is read, and the search reruns.  So a cached hit is
-indistinguishable in content from a fresh computation.  The file is read
-once per ``ResultCache`` and lookups are answered from memory, indexed by
-each record's space.
+Each line is ``json.dumps(record.to_dict(), sort_keys=True)``, which states
+the record's space and its own fields once each.  A line is kept only if it
+is exactly a line that ``put`` writes and ``SearchSpace`` accepts its space;
+every other line that is not blank is discarded with one warning when the
+file is read, and the search reruns.  The file is read once per
+``ResultCache`` and lookups are answered from memory, indexed by space.
 
-``_CANONICAL`` describes the exact line ``put`` writes: ``json.dumps`` of the
-key and the record with sorted keys, every int of 1 to 19 digits with no
-leading zero, site entries and counts without a sign, and backreferences
-tying the record's cap, k_range, m and n to the key's; its end may be CRLF,
-as a "\\r" is JSON whitespace.  A full match is valid JSON (an ASCII object of
-sorted string keys, ints, lists and ``true`` or ``false``), and its ints read
-back as the digits the pattern captured.  So ``from_dict`` gets every field
-it reads, each a plain int or a list of the shapes it unpacks, and builds
-the record unless ``SearchSpace`` refuses the space, whose fields are the
-captured key's.  A line that matches is therefore indexed as raw bytes once
-``SearchSpace`` accepts its captured key, and parsed only when ``get`` first
-serves it.  ``put`` refuses a record for another space, and one whose line
-the pattern would not keep, before writing anything, so every line it
-writes is kept.
+``_CANONICAL`` is put's line: sorted keys, every int of 1 to 19 digits with
+no leading zero, site entries and counts without a sign, and an LF or CRLF
+end (a "\\r" is JSON whitespace).  A match is valid JSON whose ints read
+back as the captured digits, so ``from_dict`` gets every field it reads, in
+the shapes it unpacks, and builds the record unless ``SearchSpace`` refuses
+the captured space; ``to_dict`` of that record dumps to the line again.  So
+a matching line is indexed as raw bytes once its space is accepted, and
+parsed only when ``get`` first serves it.  ``put`` refuses a record for
+another space, and one whose line the pattern would not keep, before
+writing anything, so every line it writes is kept.
 """
 
 from __future__ import annotations
@@ -42,22 +37,16 @@ _INT = rb"(?:0|-?[1-9][0-9]{0,18})"
 _SITE = rb"\[\[%s(?:, %s)*\], %s\]" % (_NAT, _NAT, _NAT)
 _SITES = rb"\[(?:%s(?:, %s)*)?\]" % (_SITE, _SITE)
 _CANONICAL = (
-    rb'\{"key": \{"cap": (?P<cap>%(nat)s), "k_hi": (?P<k_hi>%(nat)s), '
-    rb'"k_lo": (?P<k_lo>%(nat)s), "m": (?P<m>%(nat)s), "n": (?P<n>%(nat)s)\}, '
-    rb'"record": \{"cap": (?P=cap), "k_range": \[(?P=k_lo), (?P=k_hi)\], "m": (?P=m), '
-    rb'"max_count": %(nat)s, "max_sites": %(sites)s, "max_value": %(int)s, '
-    rb'"min_count": %(nat)s, "min_sites": %(sites)s, "min_value": %(int)s, '
-    rb'"n": (?P=n), "truncated": (?:true|false)\}\}\r?\n'
+    rb'\{"cap": (?P<cap>%(nat)s), "k_range": \[(?P<k_lo>%(nat)s), (?P<k_hi>%(nat)s)\], '
+    rb'"m": (?P<m>%(nat)s), "max_count": %(nat)s, "max_sites": %(sites)s, '
+    rb'"max_value": %(int)s, "min_count": %(nat)s, "min_sites": %(sites)s, '
+    rb'"min_value": %(int)s, "n": (?P<n>%(nat)s)\}\r?\n'
     % {b"nat": _NAT, b"int": _INT, b"sites": _SITES})
 
 
 class CacheWarning(UserWarning):
-    """A cache line was not one that ``put`` writes, or its key was refused; it has been ignored."""
-
-
-def _key(space: SearchSpace) -> dict:
-    k_lo, k_hi = space.k_range
-    return {"n": space.n, "m": space.m, "k_lo": k_lo, "k_hi": k_hi, "cap": space.cap}
+    """A cache line was not one that ``put`` writes, or ``SearchSpace`` refused its space;
+    it has been ignored."""
 
 
 class ResultCache:
@@ -86,7 +75,7 @@ class ResultCache:
         record = self._index.get(space)
         if type(record) is bytes:  # a line in put's exact form, parsed when first served
             import json
-            record = self._index[space] = ExtremeRecord.from_dict(json.loads(record)["record"])
+            record = self._index[space] = ExtremeRecord.from_dict(json.loads(record))
         return record
 
     def _load(self) -> None:
@@ -112,17 +101,16 @@ class ResultCache:
         self._index = index
 
     def put(self, space: SearchSpace, record: ExtremeRecord) -> None:
-        """Append ``record`` under ``space``'s key.  A record for another space,
-        or one whose line the load would not keep (such as a number past 19 digits,
+        """Append ``record``'s line; ``space`` must be its space.  A record for another
+        space, or one whose line the load would not keep (such as a number past 19 digits,
         or a negative site entry or count), raises DomainError, and nothing is written."""
         import json
         import re
-        key = _key(space)
-        if _key(record.space) != key:
-            raise DomainError(f"record for {_key(record.space)} stored under {key}")
-        line = json.dumps({"key": key, "record": record.to_dict()}, sort_keys=True) + "\n"
+        if record.space != space:
+            raise DomainError(f"record for {record.space} stored under {space}")
+        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
         if not re.fullmatch(_CANONICAL, line.encode()):
-            raise DomainError(f"record for {key} does not fit a cache line")
+            raise DomainError(f"record for {space} does not fit a cache line")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(line)
@@ -132,7 +120,9 @@ class ResultCache:
 
 def cached_extremes(space: SearchSpace, workers: int = 1,
                     cache: ResultCache | None = None) -> ExtremeRecord:
-    """Serve the search from the cache when possible, else compute and store."""
+    """Serve the search from the cache when possible, else compute and store.
+    A bad ``workers`` is refused on a hit as on a miss."""
+    _at_least("workers", workers, 1)
     if cache is not None:
         hit = cache.get(space)
         if hit is not None:

@@ -138,7 +138,8 @@ def _run_search(config: RunConfig) -> tuple[int, str]:
         lines += _site_lines(sites)
         if len(sites) < count:
             lines.append(f"  ... {count - len(sites)} site(s) total, list capped at {space.cap}")
-    return _output(config, record.to_dict(), ["kind", "value", "count", "a", "k"], rows, lines)
+    return _output(config, {**record.to_dict(), "truncated": record.truncated},
+                   ["kind", "value", "count", "a", "k"], rows, lines)
 
 
 def _run_verify_bounds(config: RunConfig) -> tuple[int, str]:

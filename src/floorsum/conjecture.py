@@ -273,7 +273,7 @@ _EVEN_M_NOTE = "proof stated under the hypothesis that m is even"
 
 def _conjectured_bound(n: int, m: int) -> Bound:
     try:
-        predicted_extremes(n, m)
+        _required_divisors(n, m)
     except DivisibilityError as exc:
         return Bound(None, "conjectured", "m*f(n)", note=f"not sharp / unavailable: {exc}")
     value = m * f_value(n)

@@ -121,16 +121,16 @@ class ExtremeRecord(_Record):
         return len(self.max_sites) < self.max_count or len(self.min_sites) < self.min_count
 
     def to_dict(self) -> dict:
-        """The space's fields, the record's own and ``truncated``, in one flat dict."""
+        """The space's fields and the record's own, each once, in one flat dict;
+        ``truncated`` is derived from them, so it is not stored."""
         space = self.space
         return {"n": space.n, "m": space.m, "k_range": space.k_range, "cap": space.cap,
-                **{name: getattr(self, name) for name in self.__slots__[1:]},
-                "truncated": self.truncated}
+                **{name: getattr(self, name) for name in self.__slots__[1:]}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtremeRecord":
-        """Inverse of ``to_dict``; a missing field raises ``KeyError`` naming it,
-        and a space that ``SearchSpace`` refuses raises as it does."""
+        """Inverse of ``to_dict``, ignoring any other key; a missing field raises
+        ``KeyError`` naming it, and a space that ``SearchSpace`` refuses raises as it does."""
         space = SearchSpace(data["n"], data["m"], tuple(data["k_range"]), data["cap"])
         values = {name: data[name] for name in cls.__slots__[1:]}
         for side in ("max_sites", "min_sites"):

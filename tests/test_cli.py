@@ -30,8 +30,8 @@ from floorsum import (
     extremes,
     f_sequence,
     sequence_table,
+    verify_bounds,
 )
-import floorsum.cache
 import floorsum.cli
 import floorsum.symmetry
 from floorsum.cli import RunConfig, run
@@ -393,10 +393,9 @@ def test_run_returns_the_exit_code_of_a_proven_bound_violation(tmp_path):
 
 # The cache file format: one JSON object per line, keys sorted, tuples as lists.
 CACHE_LINE = (
-    b'{"key": {"cap": 2, "k_hi": 4, "k_lo": 1, "m": 6, "n": 3}, "record": {"cap": 2, '
-    b'"k_range": [1, 4], "m": 6, "max_count": 2, "max_sites": [[[4, 4, 4], 3], '
+    b'{"cap": 2, "k_range": [1, 4], "m": 6, "max_count": 2, "max_sites": [[[4, 4, 4], 3], '
     b'[[2, 2, 2], 1]], "max_value": 2, "min_count": 1, "min_sites": [[[3, 3, 3], 2]], '
-    b'"min_value": -6, "n": 3, "truncated": false}}\n')
+    b'"min_value": -6, "n": 3}\n')
 
 
 def test_cache_line_bytes_are_pinned(tmp_path):
@@ -404,11 +403,18 @@ def test_cache_line_bytes_are_pinned(tmp_path):
     written = tmp_path / "written.jsonl"
     ResultCache(written).put(space, extremes(space))
     assert written.read_bytes() == CACHE_LINE
-    # put's lines take the load's pattern path, not the full parse
-    assert re.fullmatch(floorsum.cache._CANONICAL, CACHE_LINE)
     stored = tmp_path / "stored.jsonl"
     stored.write_bytes(CACHE_LINE)
     assert ResultCache(stored).get(space) == extremes(space)
+    # the former format's line (a key object, a truncated flag): discarded, then recomputed
+    former = (b'{"key": {"cap": 2, "k_hi": 4, "k_lo": 1, "m": 6, "n": 3}, "record": '
+              + CACHE_LINE[:-2] + b', "truncated": false}}\n')
+    stored.write_bytes(former)
+    with pytest.warns(CacheWarning) as caught:
+        assert cached_extremes(space, cache=ResultCache(stored)) == extremes(space)
+    assert [str(w.message) for w in caught] == [
+        f"discarding corrupt cache entry at {stored}:1: not a line that put writes"]
+    assert stored.read_bytes() == former + CACHE_LINE
 
 
 def test_cache_miss_on_key_mismatch(tmp_path):
@@ -435,9 +441,6 @@ def test_cache_put_refuses_a_record_a_load_would_discard(tmp_path):
     assert cache.get(space) == record
     with pytest.raises(DomainError, match="stored under"):
         cache.put(space, other)
-    # a record with a field that is not a plain int cannot even be built
-    with pytest.raises(DomainError, match="not an int"):
-        record.replace(max_value=float(record.max_value))
     assert path.read_bytes() == stored
     assert cache.get(space) == record
     with warnings.catch_warnings():
@@ -451,57 +454,49 @@ def test_cache_discards_corrupt_lines_with_warning(tmp_path):
     space = SearchSpace(2, 6)
     record = extremes(space)
     cache.put(space, record)
-    with path.open("a") as handle:
-        handle.write("{ not json at all\n")
-        handle.write('{"key": {"n": 2}, "record": {"broken": true}}\n')
-        # a well-formed (2, 5) record stored under the (2, 6) key
-        key = {"n": 2, "m": 6, "k_lo": 0, "k_hi": 5, "cap": space.cap}
-        other = extremes(SearchSpace(2, 5)).to_dict()
-        handle.write(json.dumps({"key": key, "record": other}) + "\n")
-        # a k_range with a third entry, and a float cap in key and record
-        mine = record.to_dict()
-        handle.write(json.dumps({"key": key, "record": {**mine, "k_range": [0, 5, 9]}}) + "\n")
-        handle.write(json.dumps({"key": {**key, "cap": 1000.0},
-                                 "record": {**mine, "cap": 1000.0}}) + "\n")
-        # a later, doctored record whose line holds a byte that is not UTF-8
-        doctored = {"key": key, "record": {**mine, "max_value": 999}, "note": "@"}
+    mine = record.to_dict()
     with path.open("ab") as handle:
-        handle.write(json.dumps(doctored).encode().replace(b"@", b"\xff") + b"\n")
+        handle.write(b'{ not json at all\n{"broken": true}\n')
+        # in put's form but for a k_range with a third entry, a float cap, and a later,
+        # doctored record ended by a byte that is not UTF-8
+        for fields, end in (({"k_range": [0, 5, 9]}, b"\n"), ({"cap": 1000.0}, b"\n"),
+                            ({"max_value": 999}, b"\xff\n")):
+            handle.write(json.dumps({**mine, **fields}, sort_keys=True).encode() + end)
     # the first get warns once per discarded line, in line order; later ones are silent
     with pytest.warns(CacheWarning) as caught:
         assert cache.get(space) == record
-    starts = [f"discarding corrupt cache entry at {path}:{line}: " for line in range(2, 8)]
-    assert [str(w.message)[:len(start)] for w, start in zip(caught, starts)] == starts
-    assert len(caught) == 6
+    assert [str(w.message).split(": ")[0] for w in caught] == [
+        f"discarding corrupt cache entry at {path}:{line}" for line in range(2, 7)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cache.get(space) == record
 
 
 def test_cache_discards_a_stored_space_that_search_space_refuses(tmp_path):
-    # each line's key agrees with its record, but no fresh run builds the record:
-    # SearchSpace refuses the space (no site may be recorded, an inverted K range, a
-    # widest cell past 64 bits), or a site holds JSON true, which loads as a bool
+    # each line is in put's form, but no fresh run builds its record: SearchSpace refuses
+    # the space (no site may be recorded, an inverted K range, a widest cell past 64 bits)
+    # and is quoted, or a site holds JSON true, which loads as a bool
     space = SearchSpace(3, 5)
     fresh = extremes(space).to_dict()
-    for i, fields in enumerate([{"cap": 0}, {"k_range": [4, 1]},
-                               {"n": 70, "m": 3, "k_range": [0, 2]},
-                               {"max_sites": [*fresh["max_sites"][:-1], [[1, 1, True], 2]]}]):
-        record = {**fresh, **fields}
-        key = {"n": record["n"], "m": record["m"], "k_lo": record["k_range"][0],
-               "k_hi": record["k_range"][1], "cap": record["cap"]}
+    for i, (fields, reason) in enumerate([
+            ({"cap": 0}, "site cap must be >= 1, got 0"),
+            ({"k_range": [4, 1]}, "k_range must satisfy 0 <= lo <= hi <= 4, got (4, 1)"),
+            ({"n": 70, "m": 3, "k_range": [0, 2]}, "worst-case intermediate 3341074286630273"
+             "98868992 exceeds 64-bit range (n=70, sum(A)=140, K=2)"),
+            ({"max_sites": [*fresh["max_sites"][:-1], [[1, 1, True], 2]]},
+             "not a line that put writes")]):
         path = tmp_path / f"cache{i}.jsonl"
-        path.write_text(json.dumps({"key": key, "record": record}) + "\n")
+        path.write_text(json.dumps({**fresh, **fields}, sort_keys=True) + "\n")
         with pytest.warns(CacheWarning) as caught:
             assert cached_extremes(space, cache=ResultCache(path)) == extremes(space)
-        assert len(caught) == 1, fields
-        assert str(caught[0].message).startswith(f"discarding corrupt cache entry at {path}:1: ")
+        assert [str(w.message) for w in caught] == [
+            f"discarding corrupt cache entry at {path}:1: {reason}"]
         assert len(path.read_text().splitlines()) == 2  # recomputed and appended
 
 
 def test_cli_prints_a_discarded_cache_line_as_one_plain_warning(tmp_path):
     path = tmp_path / "F"
-    path.write_text('{"key": {"n": 3}, "record": {}}\n')
+    path.write_text('{"n": 3}\n')
     result = invoke(["search", "--n", "3", "--m", "5", "--cache", str(path)])
     assert result.exit_code == 0
     assert result.stderr == (f"warning: discarding corrupt cache entry at {path}:1: "
@@ -649,22 +644,14 @@ def _int_replaced(draw, line):
     return line[:lo] + text + line[hi:]
 
 
-def _key_field_moved(draw, line):
-    # a key field alone: the record's space disagrees with its key
-    spans = [m.span() for m in re.finditer(rb"[0-9]+", line[:line.find(b'"record"')])]
-    lo, hi = draw(st.sampled_from(spans or [(0, 0)]))
-    return line[:lo] + b"%d" % (int(line[lo:hi] or 0) + 1) + line[hi:]
-
-
 def _space_moved(draw, line):
-    # a field in key and record alike, to values SearchSpace accepts or refuses
+    # a field of the space, to a value SearchSpace accepts or refuses
     try:
         entry = json.loads(line)
         field = draw(st.sampled_from(["n", "m", "cap", "k_range"]))
         value = draw(st.sampled_from([0, 1, 3, 70]))
-        entry["record"][field] = [value, 0] if field == "k_range" else value
-        entry["key"].update({"k_lo": value, "k_hi": 0} if field == "k_range" else {field: value})
-    except (ValueError, LookupError, TypeError, AttributeError):
+        entry[field] = [value, 0] if field == "k_range" else value
+    except (ValueError, TypeError):
         return line
     return json.dumps(entry, sort_keys=True).encode() + b"\n"
 
@@ -682,8 +669,8 @@ def _truncated(draw, line):
     return line[:draw(st.integers(0, max(0, len(line) - 2)))] + b"\n"
 
 
-LINE_EDITS = [_digit_deleted, _digit_inserted, _leading_zero, _int_replaced, _key_field_moved,
-              _space_moved, _crlf, _not_utf8, _truncated]
+LINE_EDITS = [_digit_deleted, _digit_inserted, _leading_zero, _int_replaced, _space_moved,
+              _crlf, _not_utf8, _truncated]
 
 
 @st.composite
@@ -698,18 +685,15 @@ def edited_cache_files(draw):
 
 
 def as_put_writes(line):
-    """``line`` with a CRLF end read as LF and the derived truncated flag as false:
-    ``from_dict`` ignores the flag, and the pattern cannot tie it to the counts."""
-    if line.endswith(b"\r\n"):
-        line = line[:-2] + b"\n"
-    return line.replace(b'"truncated": true}}\n', b'"truncated": false}}\n')
+    """``line`` with a CRLF end read as LF."""
+    return line[:-2] + b"\n" if line.endswith(b"\r\n") else line
 
 
 def record_put_writes_as(line):
     """The record ``line`` holds if ``json.loads`` and ``from_dict`` accept it and ``put``
     of that record writes ``line`` again, up to ``as_put_writes``; else None."""
     try:
-        record = ExtremeRecord.from_dict(json.loads(line)["record"])
+        record = ExtremeRecord.from_dict(json.loads(line))
     except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
         return None
     with tempfile.TemporaryDirectory() as scratch:
@@ -736,8 +720,8 @@ def assert_served_exactly_when_put_writes_them(data):
         else:
             served[record.space] = record
         try:  # and any space an edit moved a discarded line to
-            key = json.loads(line)["key"]
-            spaces.add(SearchSpace(key["n"], key["m"], (key["k_lo"], key["k_hi"]), key["cap"]))
+            entry = json.loads(line)
+            spaces.add(SearchSpace(entry["n"], entry["m"], tuple(entry["k_range"]), entry["cap"]))
         except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
             pass
     with tempfile.TemporaryDirectory() as scratch:
@@ -791,6 +775,19 @@ def test_put_writes_only_lines_the_load_keeps(tmp_path):
         with pytest.raises(DomainError, match="does not fit a cache line"):
             ResultCache(path).put(record.space, record.replace(**fields))
         assert path.read_bytes() == stored
+
+
+def test_a_cache_hit_refuses_a_bad_worker_count_as_a_miss_does(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path)
+    sequence_table(3, 5, cache=cache)  # so each call below would hit
+    stored = path.read_bytes()
+    for workers in (0, -5, "x"):
+        for call, args in ((cached_extremes, [SearchSpace(3, 5)]), (verify_bounds, [3, 5]),
+                           (sequence_table, [3, 5])):
+            with pytest.raises(DomainError, match="workers must be"):
+                call(*args, workers, cache)
+    assert path.read_bytes() == stored
 
 
 def test_cached_extremes_serves_stored_records(tmp_path):
@@ -872,13 +869,22 @@ UNLOADED_AT_IMPORT = ["multiprocessing", "click", "textwrap", "difflib", "datacl
                       "fractions", "decimal", "json", "csv", "typing", "re", "pathlib"]
 
 
-def test_importing_the_cli_does_not_import_multiprocessing():
-    # -S skips the site module, whose .pth files may import any of these first
-    code = ("import floorsum.cli, sys\n"
-            f"print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=STARTED_ENV,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+def test_importing_the_cli_does_not_import_multiprocessing(tmp_path):
+    # -S skips the site module, whose .pth files may import any of these first.  Each probe
+    # is a fresh process: the import, then a human search and table, which load the first
+    # three ``modules`` only with --cache (the table hits what the search stored).
+    modules = ["json", "re", "pathlib", "csv", "multiprocessing", "fractions"]
+    cached = ["--cache", str(tmp_path / "c.jsonl")]
+    probes = [("pass", UNLOADED_AT_IMPORT, [])] + [
+        (f"floorsum.cli.cli({argv + extra!r}, 'floorsum')", modules, loaded)
+        for extra, loaded in (([], []), (cached, modules[:3]))
+        for argv in (["search", "--n", "3", "--m", "5"], ["table", "--n", "3", "--m-max", "6"])]
+    for query, watched, loaded in probes:
+        code = (f"import floorsum.cli, sys\n{query}\n"
+                f"print([m for m in {watched!r} if m in sys.modules], file=sys.stderr)")
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=STARTED_ENV,
+                             capture_output=True, text=True, check=True)
+        assert out.stderr == f"{loaded}\n", query
 
 
 # Only the process entry point freezes the GC; a library caller's heap is its own.

@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FORMATS = ("human", "csv", "json")
 
-# (name stem, argv) for every command at desk scale, in every format.
+# (name stem, argv) for every command at desk scale, and a few more queries, in every format.
 _QUERIES = [
     ("eval", ["eval", "--m", "5", "--a", "2,3", "--k", "1"]),
     ("table", ["table", "--n", "4", "--m-max", "12"]),
@@ -34,12 +34,17 @@ _QUERIES = [
     ("verify-conjecture", ["verify-conjecture", "--n", "5", "--m", "6"]),
     ("f-seq", ["f-seq", "--n-max", "12"]),
     ("delta-scan", ["delta-scan", "--m", "10"]),
+    ("search-cap", ["search", "--n", "3", "--m", "7", "--cap", "2"]),
+    ("verify-conjecture-part2", ["verify-conjecture", "--n", "6", "--m", "15"]),
 ]
 
-# Doctored cache records that drive the failure paths (see helpers.poisoned_cache).
+# Doctored cache records that drive the failure paths (see helpers.poisoned_cache), the
+# query each drives and its exit status.
 POISON = {
-    "bound-violation": (SearchSpace(2, 10), {"max_value": 99}),
-    "conjecture-failure": (SearchSpace(5, 6), {"max_value": 13, "max_count": 1}),
+    "bound-violation": (SearchSpace(2, 10), {"max_value": 99},
+                        ["verify-bounds", "--n", "2", "--m", "10"], 3),
+    "conjecture-failure": (SearchSpace(5, 6), {"max_value": 13, "max_count": 1},
+                           ["verify-conjecture", "--n", "5", "--m", "6"], 0),
 }
 
 # name -> (argv, expected exit status, poisoned cache to pass via --cache or None)
@@ -48,32 +53,16 @@ CASES = {
     for stem, argv in _QUERIES for fmt in FORMATS
 }
 CASES.update({
-    "search-cap-human": (["search", "--n", "3", "--m", "7", "--cap", "2"], 0, None),
-    "search-cap-csv": (["search", "--n", "3", "--m", "7", "--cap", "2",
-                        "--format", "csv"], 0, None),
+    f"{poison}-{fmt}": (argv + ["--format", fmt], code, poison)
+    for poison, (_, _, argv, code) in POISON.items() for fmt in FORMATS
+})
+CASES.update({
     "search-k-range-human": (["search", "--n", "2", "--m", "8", "--k-min", "2",
                               "--k-max", "5"], 0, None),
     "table-n1-human": (["table", "--n", "1", "--m-max", "5"], 0, None),
     "delta-scan-m-max-human": (["delta-scan", "--m-max", "6"], 0, None),
-    "verify-conjecture-part2-human": (["verify-conjecture", "--n", "6", "--m", "15"], 0, None),
-    "verify-conjecture-part2-csv": (["verify-conjecture", "--n", "6", "--m", "15",
-                                     "--format", "csv"], 0, None),
-    "verify-conjecture-part2-json": (["verify-conjecture", "--n", "6", "--m", "15",
-                                      "--format", "json"], 0, None),
     "verify-bounds-n2-csv": (["verify-bounds", "--n", "2", "--m", "10",
                               "--format", "csv"], 0, None),
-    "bound-violation-human": (["verify-bounds", "--n", "2", "--m", "10"],
-                              3, "bound-violation"),
-    "bound-violation-csv": (["verify-bounds", "--n", "2", "--m", "10", "--format", "csv"],
-                            3, "bound-violation"),
-    "bound-violation-json": (["verify-bounds", "--n", "2", "--m", "10", "--format", "json"],
-                             3, "bound-violation"),
-    "conjecture-failure-human": (["verify-conjecture", "--n", "5", "--m", "6"],
-                                 0, "conjecture-failure"),
-    "conjecture-failure-csv": (["verify-conjecture", "--n", "5", "--m", "6",
-                                "--format", "csv"], 0, "conjecture-failure"),
-    "conjecture-failure-json": (["verify-conjecture", "--n", "5", "--m", "6",
-                                 "--format", "json"], 0, "conjecture-failure"),
     "help": (["--help"], 0, None),
     "version": (["--version"], 0, None),
     "usage-no-command": ([], 2, None),
@@ -133,7 +122,7 @@ CASES.update({
 def _run(name: str, directory: Path):
     argv, _, poison = CASES[name]
     if poison is not None:
-        space, overrides = POISON[poison]
+        space, overrides, _, _ = POISON[poison]
         argv = argv + ["--cache", poisoned_cache(directory / f"{poison}.jsonl", space, **overrides)]
     return run_entry_point(argv, directory)
 

@@ -1,6 +1,7 @@
 """Search engine tests: enumeration, extremes, determinism, pruning."""
 
 import functools
+import json
 import math
 import multiprocessing
 import tracemalloc
@@ -23,7 +24,7 @@ from floorsum import (
     sequence_table,
 )
 from floorsum.search import DEFAULT_CAP, enumerate_multisets
-from helpers import inner_term, reference_extremes
+from helpers import inner_term, invoke, reference_extremes
 
 def test_enumeration_order_and_counts():
     assert list(enumerate_multisets(2, 2)) == [(1, 1), (1, 0), (0, 0)]
@@ -366,6 +367,9 @@ def test_site_cap_truncates_but_keeps_counts():
 def test_record_dict_roundtrip():
     record = extremes(SearchSpace(3, 6, (1, 4), cap=7))
     assert ExtremeRecord.from_dict(record.to_dict()) == record
+    # search's JSON result, which adds truncated, reads back as the fresh record
+    text = invoke(["search", "--n", "3", "--m", "7", "--cap", "2", "--format", "json"]).stdout
+    assert ExtremeRecord.from_dict(json.loads(text)["result"]) == extremes(SearchSpace(3, 7, cap=2))
 
 
 @pytest.mark.parametrize("fields, error", [
